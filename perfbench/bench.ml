@@ -18,11 +18,18 @@ module Parallel = Alpenhorn_parallel.Parallel
 
 type opts = { seed : int; seconds : float; rounds : int option }
 
-(* Set-ups per untraced run; [setup_s] is their median. *)
-let setup_runs = 3
+module Stats = Alpenhorn_sim.Stats
 
-(* The driver's domain pool: [min 2 cores] unless --domains says otherwise. *)
-let pool_size = ref (Stdlib.min 2 (Domain.recommended_domain_count ()))
+(* Set-ups per untraced run; [setup_s] is the median of their host-scaled
+   times. *)
+let setup_runs = 5
+
+(* The driver's domain pool: one domain unless --domains says otherwise.
+   On the two-vCPU host a second domain made no round faster (dialing
+   and wire rounds ran slower), made the host-speed correction useless
+   and made [pairing.mont_mul] differ between runs of the same seed
+   (perfbench/NOTES.md, "Host noise" and "Work counts"). *)
+let pool_size = ref 1
 
 (* ---- per-round series ---- *)
 
@@ -33,7 +40,7 @@ let series () : series = Hashtbl.create 64
 let get (s : series) name = Option.value ~default:[] (Hashtbl.find_opt s name)
 let push (s : series) name v = Hashtbl.replace s name (v :: get s name)
 let values (s : series) name = Array.of_list (List.rev (get s name))
-let med s name = match values s name with [||] -> 0.0 | a -> Report.median a
+let med s name = match values s name with [||] -> 0.0 | a -> Stats.median a
 let total s name = Array.fold_left ( +. ) 0.0 (values s name)
 
 (* ---- checks ---- *)
@@ -71,16 +78,27 @@ let timed_loop o ~max_rounds step =
     incr i
   done
 
-(* Set up [k] times; keep the last world, discard the others. Returns the
-   world and each set-up's wall time. *)
-let repeated_setup k ~setup ~discard =
-  let rec go i times prev =
-    let w, dt = Probe.time setup in
-    Option.iter discard prev;
-    let times = dt :: times in
-    if i = k then (w, Array.of_list (List.rev times)) else go (i + 1) times (Some w)
-  in
-  go 1 [] None
+(* [step] for [timed_loop] that also records, in [heap], the peak
+   major-heap words during the first timed round. Each add-friend round
+   leaves more friends behind, so a peak over the whole run would depend
+   on how many rounds fit into it. *)
+let first_round_heap heap step i =
+  if i = 0 then heap := snd (Probe.heap_peak_during (fun () -> step i)) else step i
+
+(* A set-up's world with its wall time and host-scaled time. *)
+let timed_setup setup =
+  let w, dt, scaled = Hostspeed.time setup in
+  (w, (dt, scaled))
+
+(* All [setup_runs] set-up times: [first]'s, then those of the set-ups
+   run after the timed rounds, each discarded at once, so the heap
+   measured during the rounds holds one world only. *)
+let setup_times first ~setup ~discard =
+  Array.append [| first |]
+    (Array.init (setup_runs - 1) (fun _ ->
+         let w, t = timed_setup setup in
+         discard w;
+         t))
 
 (* ---- output ---- *)
 
@@ -157,13 +175,14 @@ let finish ~workload ~tally ~info ~metrics ~kernels ~trace (s : series option) =
   if not correct then exit 1
 
 (* The end-to-end metrics of an untraced run, and its info-line
-   figures. Round wall times are printed but not gated: on a shared
-   two-vCPU VM the median round of a run moved by up to a quarter from run
-   to run on identical code (perfbench/NOTES.md, "Host noise"), more than
-   the largest bound a gated metric may have. Traced runs carry the same
-   figures as the
-   ungated per-layer metrics [engine.round_p50_s] and
-   [engine.clients_per_s]. *)
+   figures. [setups] holds (wall time, host-scaled time) pairs from
+   [Hostspeed.time]; [setup_s] is the median host-scaled set-up, because
+   the host's own speed moved the wall time of identical set-ups by up to
+   a third between sets of runs (perfbench/NOTES.md, "Host noise").
+   Round wall times are printed but not gated: the median round of a run
+   moved from run to run by more than the largest bound a gated metric
+   may have. Traced runs carry the same figures as the ungated per-layer
+   metrics [engine.round_p50_s] and [engine.clients_per_s]. *)
 let e2e ~setups ~durations ~clients ~download ~heap_words ~tally =
   let n = Array.length durations in
   let num v = Report.Num v in
@@ -175,7 +194,7 @@ let e2e ~setups ~durations ~clients ~download ~heap_words ~tally =
     | None -> []
   in
   ( [
-      Report.metric "setup_s" "s" (Report.median setups);
+      Report.metric "setup_s" "s" (Stats.median (Array.map snd setups));
       Report.metric "download_bytes_per_client" "bytes" (float_of_int download);
       Report.metric "heap_words_per_client" "words" (heap_words /. float_of_int clients);
       Report.metric "ok_frac" "ratio"
@@ -183,11 +202,12 @@ let e2e ~setups ~durations ~clients ~download ~heap_words ~tally =
         -. Report.ratio (float_of_int tally.failed) (float_of_int (Stdlib.max 1 tally.attempted)));
     ],
     [
-      ("round_p50_s", num (Report.median durations));
+      ("round_p50_s", num (Stats.median durations));
       ("clients_per_s", num (float_of_int (clients * n) /. Array.fold_left ( +. ) 0.0 durations));
       ("round_samples", num (float_of_int n));
       ("rounds_s", nums durations);
-      ("setups_s", nums setups);
+      ("setups_s", nums (Array.map fst setups));
+      ("setups_scaled_s", nums (Array.map snd setups));
     ]
     @ tail )
 
@@ -339,8 +359,8 @@ let traced_metrics s ~clients ~engine_times =
           (tot "pairing.cache_hits" +. tot "pairing.cache_misses")
       );
       ( "trace.overhead_ratio",
-        med s "trace.round_s" /. Report.median (Array.of_list engine_times) -. 1.0 );
-      ("engine.round_p50_s", Report.median (Array.of_list engine_times));
+        med s "trace.round_s" /. Stats.median (Array.of_list engine_times) -. 1.0 );
+      ("engine.round_p50_s", Stats.median (Array.of_list engine_times));
       ( "engine.clients_per_s",
         float_of_int (clients * List.length engine_times)
         /. List.fold_left ( +. ) 0.0 engine_times );
@@ -382,34 +402,32 @@ let max_rounds (shape : Shape.t) = function
 
 let inproc_untraced o (shape : Shape.t) phase =
   let seed = o.seed and tally = tally () in
-  let (e, warm), setups =
-    repeated_setup setup_runs
-      ~setup:(fun () ->
-        let e = Inproc.engine_setup shape ~seed in
-        Inproc.prepare_engine e phase;
-        (e, Inproc.engine_round e phase))
-      ~discard:ignore
+  let setup () =
+    let e = Inproc.engine_setup shape ~seed in
+    Inproc.prepare_engine e phase;
+    (e, Inproc.engine_round e phase)
   in
+  let (e, warm), first = timed_setup setup in
   let clients = e.Inproc.e_clients in
   check_round tally shape ~seed phase ~round:1 ~prev:None warm clients;
   let prev = ref warm and durations = ref [] and download = ref (max_size warm.Inproc.sizes) in
+  let heap = ref 0 in
   Gc.full_major ();
-  let (), heap =
-    Probe.heap_peak_during (fun () ->
-        timed_loop o ~max_rounds:(max_rounds shape phase) (fun _ ->
-            Inproc.prepare_engine e phase;
-            let r, dt = Probe.time (fun () -> Inproc.engine_round e phase) in
-            durations := dt :: !durations;
-            download := Stdlib.max !download (max_size r.Inproc.sizes);
-            check_round tally shape ~seed phase
-              ~round:(Inproc.engine_round_number e phase)
-              ~prev:(Some !prev) r clients;
-            prev := r))
-  in
+  timed_loop o ~max_rounds:(max_rounds shape phase)
+    (first_round_heap heap (fun _ ->
+         Inproc.prepare_engine e phase;
+         let r, dt = Probe.time (fun () -> Inproc.engine_round e phase) in
+         durations := dt :: !durations;
+         download := Stdlib.max !download (max_size r.Inproc.sizes);
+         check_round tally shape ~seed phase
+           ~round:(Inproc.engine_round_number e phase)
+           ~prev:(Some !prev) r clients;
+         prev := r));
+  let setups = setup_times first ~setup ~discard:ignore in
   let kernels = Kernels.run () in
   let metrics, info =
     e2e ~setups ~durations:(Array.of_list (List.rev !durations)) ~clients:shape.Shape.clients
-      ~download:!download ~heap_words:(float_of_int heap) ~tally
+      ~download:!download ~heap_words:(float_of_int !heap) ~tally
   in
   finish ~workload:shape.Shape.name ~tally ~info:(info @ shape_info shape phase) ~metrics ~kernels
     ~trace:false None
@@ -470,9 +488,8 @@ let scale_info (r : Scale.result) =
 
 let scale_untraced o =
   let seed = o.seed and tally = tally () in
-  let warm, setups =
-    repeated_setup setup_runs ~setup:(fun () -> scale_round ~seed ~round:0) ~discard:ignore
-  in
+  let setup () = scale_round ~seed ~round:0 in
+  let warm, first = timed_setup setup in
   let durations = ref [] and words = ref [] and download = ref 0 in
   timed_loop o ~max_rounds:max_int (fun i ->
       let r, dt = Probe.time (fun () -> scale_round ~seed ~round:(i + 1)) in
@@ -480,36 +497,32 @@ let scale_untraced o =
       words := r.Scale.words_per_client :: !words;
       download := Stdlib.max !download r.Scale.bytes_per_client;
       scale_check tally r);
+  let setups = setup_times first ~setup ~discard:ignore in
   let kernels = Kernels.run () in
   let metrics, info =
     e2e ~setups ~durations:(Array.of_list (List.rev !durations)) ~clients:Shape.scale_clients
       ~download:!download
-      ~heap_words:(Report.median (Array.of_list !words) *. float_of_int Shape.scale_clients)
+      ~heap_words:(Stats.median (Array.of_list !words) *. float_of_int Shape.scale_clients)
       ~tally
   in
   finish ~workload:"scale" ~tally ~info:(info @ scale_info warm) ~metrics ~kernels ~trace:false None
 
+(* [Scale.run] is one call from outside, so the traced round is that one
+   call under the [scale.run] span, and its time is the engine's too. *)
 let scale_traced o =
   let seed = o.seed and tally = tally () and s = series () in
   let warm = scale_round ~seed ~round:0 in
   let engine_times = ref [] in
   timed_loop o ~max_rounds:max_int (fun i ->
       let round = i + 1 in
-      let er, te = Probe.time (fun () -> scale_round ~seed ~round) in
-      engine_times := te :: !engine_times;
       let sp = Probe.spans () in
       let before = reading () in
       let start = Probe.now () in
       let r = Probe.span sp "scale.run" (fun () -> scale_round ~seed ~round) in
       let stop = Probe.now () in
       let after = reading () in
+      engine_times := (stop -. start) :: !engine_times;
       record_layers s tally sp ~start ~stop;
-      let same (x : Scale.result) =
-        ( x.Scale.tokens, x.Scale.shards, x.Scale.bytes_per_client, x.Scale.total_filter_bytes,
-          x.Scale.scan_dialed, x.Scale.scan_hits, x.Scale.scan_false_positives )
-      in
-      if same er <> same r then
-        problem tally (Printf.sprintf "scale round %d: results differ" round);
       scale_check tally r;
       let f = float_of_int in
       let d name = f (Probe.delta (fst before) (fst after) name) in
@@ -546,40 +559,44 @@ let wire_info =
   :: ("server_pool_domains", Report.Num 1.0)
   :: shape_info Shape.wire Inproc.Dialing
 
-(* An operation is a wire round; one that raises [Round_failed] failed. *)
+(* An operation is a wire round; one that raises [Round_failed] failed,
+   and the failure is a problem of the run. *)
 let wire_round tally (w : Wirewl.world) =
   Wirewl.prepare w;
   tally.attempted <- tally.attempted + 1;
   match Probe.time (fun () -> Wirewl.engine_round w) with
-  | r, dt -> Some (r, dt)
-  | exception Deployment.Round_failed _ ->
+  | x -> Some x
+  | exception Deployment.Round_failed { round; attempts; _ } ->
     tally.failed <- tally.failed + 1;
+    problem tally
+      (Printf.sprintf "wire round %d: Round_failed after %d attempts" round attempts);
     None
 
 let wire_untraced o =
   let seed = o.seed and tally = tally () in
-  let (w, warm), setups =
-    repeated_setup setup_runs
-      ~setup:(fun () ->
-        let w = Wirewl.setup ~seed in
-        Wirewl.prepare w;
-        (w, Wirewl.engine_round w))
-      ~discard:(fun (w, _) -> Wirewl.teardown w)
+  let setup () =
+    let w = Wirewl.setup ~seed in
+    Wirewl.prepare w;
+    (w, Wirewl.engine_round w)
   in
-  let rounds = ref [ warm ] and durations = ref [] in
+  let (w, warm), first = timed_setup setup in
+  (* A failed round still uses up a round number and may leave clients
+     mid-round, so the in-process replay below covers only the rounds
+     before the first failure. *)
+  let compared = ref [ warm ] and failed = ref false and durations = ref [] in
   let download = ref (max_size warm.Inproc.sizes) in
+  let heap = ref 0 in
   Gc.full_major ();
-  let (), heap =
-    Probe.heap_peak_during (fun () ->
-        timed_loop o ~max_rounds:max_int (fun _ ->
-            match wire_round tally w with
-            | Some (r, dt) ->
-              durations := dt :: !durations;
-              download := Stdlib.max !download (max_size r.Inproc.sizes);
-              rounds := r :: !rounds
-            | None -> ()))
-  in
+  timed_loop o ~max_rounds:max_int
+    (first_round_heap heap (fun _ ->
+         match wire_round tally w with
+         | Some (r, dt) ->
+           durations := dt :: !durations;
+           download := Stdlib.max !download (max_size r.Inproc.sizes);
+           if not !failed then compared := r :: !compared
+         | None -> failed := true));
   Wirewl.teardown w;
+  let setups = setup_times first ~setup ~discard:(fun (w, _) -> Wirewl.teardown w) in
   (* The same rounds through the in-process engine must give the same
      client events; run after the timing so it shares no heap with it. *)
   let shadow = Inproc.engine_setup Shape.wire ~seed in
@@ -596,11 +613,11 @@ let wire_untraced o =
       in
       if failed > 0 then
         problem tally (Printf.sprintf "wire round %d: %d calls did not arrive" round failed))
-    (List.rev !rounds);
+    (List.rev !compared);
   let kernels = Kernels.run () in
   let metrics, info =
     e2e ~setups ~durations:(Array.of_list (List.rev !durations)) ~clients:Shape.wire.Shape.clients
-      ~download:!download ~heap_words:(float_of_int heap) ~tally
+      ~download:!download ~heap_words:(float_of_int !heap) ~tally
   in
   finish ~workload:"wire" ~tally ~info:(info @ wire_info) ~metrics ~kernels ~trace:false None
 
@@ -614,13 +631,16 @@ let wire_traced o =
   Wirewl.prepare_replay r;
   let warm_r = Wirewl.replay_round (Probe.spans ()) r in
   same_round tally ~what:"round 1" warm_e warm_r;
-  let engine_times = ref [] in
+  (* After a failed engine round the replay is out of step with the
+     engine, so the rounds after it are timed but not replayed. *)
+  let engine_times = ref [] and failed = ref false in
   timed_loop o ~max_rounds:max_int (fun i ->
       let round = i + 2 in
       let what = Printf.sprintf "round %d" round in
       let c0 = Probe.read () in
       match wire_round tally w with
-      | None -> problem tally (what ^ ": engine round failed")
+      | None -> failed := true
+      | Some (_, te) when !failed -> engine_times := te :: !engine_times
       | Some (er, te) ->
         let c1 = Probe.read () in
         engine_times := te :: !engine_times;

@@ -13,7 +13,7 @@ module Bloom = Alpenhorn_bloom.Bloom
 
 (* Median over [batches] batches of the mean time of one call. *)
 let per_call ?(batches = 5) ~reps f =
-  Report.median
+  Alpenhorn_sim.Stats.median
     (Array.init batches (fun _ ->
          let t0 = Probe.now () in
          for _ = 1 to reps do

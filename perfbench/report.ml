@@ -1,21 +1,5 @@
-(* Sample statistics and the result line the benchmark prints last. *)
-
-let sorted samples =
-  let a = Array.copy samples in
-  Array.sort Float.compare a;
-  a
-
-(* Linear interpolation between closest ranks. *)
-let quantile samples q =
-  let a = sorted samples in
-  let n = Array.length a in
-  if n = 0 then invalid_arg "Report.quantile: no samples";
-  let pos = q *. float_of_int (n - 1) in
-  let lo = truncate pos in
-  let hi = Stdlib.min (n - 1) (lo + 1) in
-  a.(lo) +. ((pos -. float_of_int lo) *. (a.(hi) -. a.(lo)))
-
-let median samples = quantile samples 0.5
+(* The tail percentile of round times, and the info and result lines the
+   benchmark prints last. *)
 
 (* The highest percentile with at least ten samples beyond it, as
    (percentile, value); [None] unless that percentile lies above the
@@ -26,7 +10,9 @@ let tail samples =
   else begin
     let k = n - 10 in
     let pct = 100 * k / n in
-    Some (pct, (sorted samples).(k - 1))
+    let a = Array.copy samples in
+    Array.sort Float.compare a;
+    Some (pct, a.(k - 1))
   end
 
 let ratio num den = if den = 0.0 then 0.0 else num /. den

@@ -105,7 +105,7 @@ def main():
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--rounds", type=int, help="run exactly this many timed rounds")
-    p.add_argument("--domains", type=int, help="pool size (default: min(2, cores))")
+    p.add_argument("--domains", type=int, help="pool size (default: one domain)")
     a = p.parse_args()
     build()
     args = [a.workload, "--seed", str(a.seed), "--seconds", str(a.seconds), "--trace", str(a.trace)]

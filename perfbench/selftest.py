@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Self-test: the benchmark's per-round work counts repeat exactly.
 
-    python3 perfbench/selftest.py [--seed N] [--rounds R] [--workloads a,b,...]
+    python3 perfbench/selftest.py [--seed N] [--rounds R] [--workloads a,b,...] [--domains D]
 
-Runs every workload twice with --trace 1 on one seed and a fixed number of
-timed rounds, once on a one-domain pool and once on the benchmark's own
-pool, and compares the per-round work counts each traced run prints on its
-info line: pairing.mont_mul, pkg.extractions, the mixnet.* counts, the
-client.* trials and hits, mailbox.bytes_published, the scale.* figures and
-rpc.calls. Only counts that repeat exactly may carry a later gain claim.
+Runs every workload twice with --trace 1 on one seed, a fixed number of
+timed rounds and one pool size (the benchmark's own, one domain, unless
+--domains says otherwise), and compares the per-round work counts each
+traced run prints on its info line: pairing.mont_mul, pkg.extractions, the
+mixnet.* counts, the client.* trials and hits, mailbox.bytes_published,
+the scale.* figures and rpc.calls. Only counts that repeat exactly may
+carry a later gain claim.
 
 On one domain every count must repeat. On more domains two may vary, and
 are reported rather than failed: pairing.mont_mul, because the
@@ -46,20 +47,20 @@ def main():
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--workloads", default=",".join(bench.WORKLOADS))
+    p.add_argument("--domains", type=int, help="pool size (default: the benchmark's, one domain)")
     a = p.parse_args()
     bench.build()
     ok = True
     for w in a.workloads.split(","):
-        for domains, label in ((1, "1 domain"), (None, "bench pool")):
-            first = counts(w, a.seed, a.rounds, domains)
-            second = counts(w, a.seed, a.rounds, domains)
-            for name in sorted(set(first) | set(second)):
-                same = first.get(name) == second.get(name)
-                allowed = domains is None and name in VARY_ON_SEVERAL_DOMAINS
-                ok = ok and (same or allowed)
-                status = "same" if same else ("varies" if allowed else "DIFFERS")
-                print("%-10s %-10s %-28s %-7s %s" % (w, label, name, status,
-                      first.get(name) if same else (first.get(name), second.get(name))))
+        first = counts(w, a.seed, a.rounds, a.domains)
+        second = counts(w, a.seed, a.rounds, a.domains)
+        for name in sorted(set(first) | set(second)):
+            same = first.get(name) == second.get(name)
+            allowed = (a.domains or 1) > 1 and name in VARY_ON_SEVERAL_DOMAINS
+            ok = ok and (same or allowed)
+            status = "same" if same else ("varies" if allowed else "DIFFERS")
+            print("%-10s %-28s %-7s %s" % (w, name, status,
+                  first.get(name) if same else (first.get(name), second.get(name))))
     print("self-test: " + ("all work counts repeat exactly" if ok else "work counts differ"))
     sys.exit(0 if ok else 1)
 

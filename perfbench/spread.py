@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure the benchmark's run-to-run spread.
 
-    python3 perfbench/spread.py --workloads addfriend,wire --seeds 1-10 [--out FILE]
+    python3 perfbench/spread.py --workloads addfriend,wire --seeds 1-10 [--out FILE] [--against FILE]
 
 Runs the command BENCHMARK.json names once per workload and seed, and
 prints for every end-to-end metric the median over the seeds,
@@ -9,6 +9,10 @@ the quartiles (Python's statistics.quantiles with n=4) and their distance
 as a share of the median, next to a third of the metric's bound in
 BENCHMARK.json. A metric is steady when that spread stays below a third
 of its bound. --out appends every run's output lines, as JSON, to FILE.
+--against reads such a FILE from an earlier set of runs and also prints
+by how much each median got worse than that set's, as a share of the
+earlier median; it must stay within the metric's bound. Exits 1 when a
+spread or a drift is out of range.
 """
 
 import argparse
@@ -32,7 +36,14 @@ def main():
     p.add_argument("--workloads", required=True)
     p.add_argument("--seeds", type=seeds, default=seeds("1-10"))
     p.add_argument("--out")
+    p.add_argument("--against")
     a = p.parse_args()
+    earlier = {}
+    if a.against:
+        with open(a.against) as f:
+            for line in f:
+                rec = json.loads(line)
+                earlier.setdefault(rec["workload"], []).append(json.loads(rec["output"][-1]))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     steady = True
@@ -61,9 +72,16 @@ def main():
             q1, _, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / med if med else float("inf")
             ok = spread < m["bound"] / 3
-            steady = steady and (ok or m["name"] == "setup_s")
             print("  %-26s median %-12.6g spread %6.2f%%  (a third of the bound: %5.2f%%) %s" % (
                 m["name"], med, 100 * spread, 100 * m["bound"] / 3, "ok" if ok else "WIDE"))
+            if w in earlier:
+                before = statistics.median(r["metrics"][m["name"]]["value"] for r in earlier[w])
+                worse = (med - before) / before if m["better"] == "lower" else (before - med) / before
+                in_bound = worse <= m["bound"]
+                ok = ok and in_bound
+                print("  %-26s earlier median %-12.6g worse by %6.2f%%  (bound: %5.2f%%) %s" % (
+                    "", before, 100 * worse, 100 * m["bound"], "ok" if in_bound else "DRIFT"))
+            steady = steady and ok
     sys.exit(0 if steady else 1)
 
 
