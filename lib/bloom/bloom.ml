@@ -19,12 +19,29 @@ let create_custom ~bits ~hashes =
   if bits <= 0 || hashes <= 0 then invalid_arg "Bloom.create_custom";
   { bits = Bytes.make ((bits + 7) / 8) '\000'; nbits = bits; k = hashes; n = 0 }
 
-(* Derive k indices via double hashing over two independent 64-bit values
-   (Kirsch-Mitzenmacher), which preserves the asymptotic FP rate. *)
+(* Derive the k indices from all four 64-bit words of the digest: start
+   at h1 and step by a difference that itself moves by h2, h3, h4 and i
+   (enhanced double hashing, Dillinger-Manolios, carried to four terms).
+   Plain double hashing (h1 + i·h2) is weak twice over here. It cycles
+   through only nbits/gcd(h2, nbits) positions, and nbits = 48·n has many
+   divisors, so an unlucky element sets as few as two bits. And every
+   index set is fixed by (h1, h2) mod nbits, so a probe matches one of n
+   members' sets outright with probability about n/nbits², 2·10⁻⁶ for a
+   203-token mailbox, far above the 10⁻¹⁰ target. With four words the
+   index set carries nbits⁴ choices, and the final i term keeps the
+   sequence from falling into a short cycle whatever the digest is. *)
 let indices_of_digest t d =
-  let h1 = Util.read_be64 d 0 land max_int and h2 = Util.read_be64 d 8 land max_int in
-  let h2 = if h2 mod t.nbits = 0 then h2 + 1 else h2 in
-  Array.init t.k (fun i -> abs (h1 + (i * h2)) mod t.nbits)
+  let m = t.nbits in
+  let wrap v = if v < m then v else v mod m in
+  let word j = wrap (Util.read_be64 d (8 * j) land max_int) in
+  let x = ref (word 0) and y = ref (word 1) and z = ref (word 2) and w = ref (word 3) in
+  Array.init t.k (fun i ->
+      let idx = !x in
+      x := wrap (!x + !y);
+      y := wrap (!y + !z);
+      z := wrap (!z + !w);
+      w := wrap (!w + i + 1);
+      idx)
 
 let indices t elem = indices_of_digest t (Sha256.digest ("bloom" ^ elem))
 

@@ -48,32 +48,31 @@ let encode_request (params : Params.t) r =
   Buffer.add_string buf (Util.be32 r.dialing_round);
   Buffer.contents buf
 
+(* canonicality: the padding after the email must be all-zero, so exactly
+   one encoding decodes to a given request (no covert channel, no
+   signature-stripping games via padding malleability) *)
+let plausible_request params s =
+  String.length s = request_plaintext_size params
+  &&
+  let n = Char.code s.[0] in
+  n <= max_email_length
+  &&
+  let rec zero_from i = i > max_email_length || (s.[i] = '\000' && zero_from (i + 1)) in
+  zero_from (1 + n)
+
 let decode_request (params : Params.t) s =
-  let ps = point_size params in
-  if String.length s <> request_plaintext_size params then None
+  if not (plausible_request params s) then None
   else begin
+    let ps = point_size params in
     let n = Char.code s.[0] in
-    if n > max_email_length then None
-    else begin
-      (* canonicality: the padding after the email must be all-zero, so
-         exactly one encoding decodes to a given request (no covert
-         channel, no signature-stripping games via padding malleability) *)
-      let padding_zero = ref true in
-      for i = 1 + n to max_email_length do
-        if s.[i] <> '\000' then padding_zero := false
-      done;
-      if not !padding_zero then None
-      else begin
-      let sender_email = String.sub s 1 n in
-      let off = 1 + max_email_length in
-      let field i = String.sub s (off + (i * ps)) ps in
-      let ( let* ) = Option.bind in
-      let* sender_key = Bls.public_of_bytes params (field 0) in
-      let* sender_sig = Bls.signature_of_bytes params (field 1) in
-      let* pkg_sigs = Bls.signature_of_bytes params (field 2) in
-      let* dialing_key = Dh.public_of_bytes params (field 3) in
-      let dialing_round = Util.read_be32 s (off + (4 * ps)) in
-      Some { sender_email; sender_key; sender_sig; pkg_sigs; dialing_key; dialing_round }
-      end
-    end
+    let sender_email = String.sub s 1 n in
+    let off = 1 + max_email_length in
+    let field i = String.sub s (off + (i * ps)) ps in
+    let ( let* ) = Option.bind in
+    let* sender_key = Bls.public_of_bytes params (field 0) in
+    let* sender_sig = Bls.signature_of_bytes params (field 1) in
+    let* pkg_sigs = Bls.signature_of_bytes params (field 2) in
+    let* dialing_key = Dh.public_of_bytes params (field 3) in
+    let dialing_round = Util.read_be32 s (off + (4 * ps)) in
+    Some { sender_email; sender_key; sender_sig; pkg_sigs; dialing_key; dialing_round }
   end

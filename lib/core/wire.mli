@@ -38,9 +38,15 @@ val request_ciphertext_size : Params.t -> int
 val encode_request : Params.t -> friend_request -> string
 (** @raise Invalid_argument if the email exceeds {!max_email_length}. *)
 
+val plausible_request : Params.t -> string -> bool
+(** The byte-level checks of {!decode_request}: the plaintext size, the
+    email length and all-zero email padding. No point decoding, so the
+    add-friend scan runs it on every trial plaintext to reject the
+    requests of other recipients before the Fujisaki-Okamoto check. *)
+
 val decode_request : Params.t -> string -> friend_request option
-(** Total and canonical: rejects wrong sizes, undecodable points, and
-    nonzero email padding — exactly one encoding decodes per request. *)
+(** Total and canonical: rejects what {!plausible_request} rejects and
+    undecodable points — exactly one encoding decodes per request. *)
 
 val dial_token_size : int
 (** 32 bytes (the paper's 256-bit dial tokens). *)

@@ -7,7 +7,6 @@ module Util = Alpenhorn_crypto.Util
 module Pairing = Alpenhorn_pairing.Pairing
 module Params = Alpenhorn_pairing.Params
 module Curve = Alpenhorn_pairing.Curve
-module Field = Alpenhorn_pairing.Field
 
 type master_secret = Bigint.t
 type master_public = Curve.point
@@ -47,31 +46,43 @@ let encrypt (params : Params.t) rng mpk ~id msg =
   (* e(H(id), mpk) is fixed per (recipient, PKG) — every request to the
      same master key hits the pairing cache *)
   let g_id = Pairing.pair_cached params (Pairing.hash_to_group params id) mpk in
-  let mask = h2 (Pairing.gt_bytes params (Alpenhorn_pairing.Fp2.pow fp g_id r)) in
+  let mask = h2 (Pairing.gt_bytes params (Pairing.gt_pow params g_id r)) in
   let v = Util.xor sigma mask in
   let w = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce msg in
   Curve.to_bytes fp u ^ v ^ w
 
-let decrypt (params : Params.t) d_id ctxt =
+(* [None] for the point at infinity: no ciphertext decrypts under it *)
+type prepared = { params : Params.t; key : Pairing.prepared option }
+
+let with_prepared (params : Params.t) d_id f =
+  match d_id with
+  | Curve.Inf -> f { params; key = None }
+  | Curve.Affine _ -> Pairing.with_prepared params d_id (fun key -> f { params; key = Some key })
+
+let decrypt_prepared ?(plausible = fun _ -> true) { params; key } ctxt =
   let fp = params.fp in
   let pb = Curve.point_bytes fp in
-  if String.length ctxt < pb + 32 then None
-  else begin
+  match key with
+  | None -> None
+  | Some _ when String.length ctxt < pb + 32 -> None
+  | Some key -> begin
     match Curve.of_bytes fp (String.sub ctxt 0 pb) with
     | None | Some Curve.Inf -> None
     | Some u ->
-      if Curve.equal d_id Curve.Inf then None
-      else begin
-        let v = String.sub ctxt pb 32 in
-        let w = String.sub ctxt (pb + 32) (String.length ctxt - pb - 32) in
-        let mask = h2 (Pairing.gt_bytes params (Pairing.pair params d_id u)) in
-        let sigma = Util.xor v mask in
-        let msg = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce w in
-        let r = h3 params sigma msg in
-        (* Fujisaki-Okamoto consistency check: U must equal rP *)
-        if Curve.equal u (Params.mul_g params r) then Some msg else None
-      end
+      let v = String.sub ctxt pb 32 in
+      let w = String.sub ctxt (pb + 32) (String.length ctxt - pb - 32) in
+      let mask = h2 (Pairing.gt_bytes params (Pairing.pair_prepared key u)) in
+      let sigma = Util.xor v mask in
+      let msg = Chacha20.xor_stream ~key:(h4 sigma) ~nonce:stream_nonce w in
+      (* Fujisaki-Okamoto consistency check: U must equal rP. An
+         implausible plaintext is rejected before it; any plaintext
+         returned has passed it. *)
+      if not (plausible msg) then None
+      else if Curve.equal u (Params.mul_g params (h3 params sigma msg)) then Some msg
+      else None
   end
+
+let decrypt params d_id ctxt = with_prepared params d_id (fun prep -> decrypt_prepared prep ctxt)
 
 let master_public_bytes (params : Params.t) pk = Curve.to_bytes params.fp pk
 let master_public_of_bytes (params : Params.t) s = Curve.of_bytes params.fp s

@@ -42,11 +42,29 @@ val ciphertext_overhead : Params.t -> int
 val encrypt : Params.t -> Drbg.t -> master_public -> id:string -> string -> string
 (** FullIdent encryption of an arbitrary-length message to [id]. *)
 
-val decrypt : Params.t -> identity_key -> string -> string option
+type prepared
+(** An identity key with its pairing coefficients precomputed
+    ({!Pairing.with_prepared}); valid inside one {!with_prepared} call. *)
+
+val with_prepared : Params.t -> identity_key -> (prepared -> 'a) -> 'a
+(** [with_prepared params d_id f] prepares [d_id] once for many trial
+    decryptions (a client's mailbox scan, §3.1 step 6) and calls [f]. The
+    stored coefficients are zeroed when [f] returns or raises, so they
+    never outlive the round identity key's erasure (§4.4). The point at
+    infinity prepares a key that decrypts nothing. *)
+
+val decrypt_prepared : ?plausible:(string -> bool) -> prepared -> string -> string option
 (** [None] if the ciphertext is malformed, was encrypted to a different
-    identity, or fails the Fujisaki-Okamoto consistency check. Constant
-    shape regardless of failure mode (mailbox scanning calls this on every
-    ciphertext, §3.1 step 6). *)
+    identity, or fails the Fujisaki-Okamoto consistency check. A
+    plaintext for which [plausible] (default: always [true]) is [false]
+    is rejected before that check, which saves the fixed-base
+    multiplication on the ciphertexts of other recipients; every
+    plaintext returned has passed the check. [plausible] sees
+    unauthenticated bytes, so it must be a cheap byte-level test with no
+    side effects. *)
+
+val decrypt : Params.t -> identity_key -> string -> string option
+(** One-shot {!decrypt_prepared} with no plausibility test. *)
 
 val master_public_bytes : Params.t -> master_public -> string
 val master_public_of_bytes : Params.t -> string -> master_public option

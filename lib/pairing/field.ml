@@ -69,14 +69,19 @@ let pow f base e =
 let is_zero = Bigint.is_zero
 let equal = Bigint.equal
 
+(* Both roots are one exponentiation, run on the Montgomery kernel:
+   point decoding ([Curve.of_bytes]) and [hash_to_group] call them on
+   every ciphertext and identity. [pow] above stays the Barrett reference
+   the tests compare them with. *)
 let sqrt f a =
-  if Bigint.is_zero a then Some Bigint.zero
-  else begin
-    let r = pow f a f.sqrt_exp in
-    if equal (sqr f r) a then Some r else None
-  end
+  let ctx = mont_ctx f in
+  let am = Mont.of_bigint ctx a in
+  let r = Mont.pow ctx am f.sqrt_exp in
+  if Mont.equal (Mont.sqr ctx r) am then Some (Mont.to_bigint ctx r) else None
 
-let cbrt f a = pow f a f.cbrt_exp
+let cbrt f a =
+  let ctx = mont_ctx f in
+  Mont.to_bigint ctx (Mont.pow ctx (Mont.of_bigint ctx a) f.cbrt_exp)
 
 let to_bytes f a = Bigint.to_bytes_be ~len:f.nbytes a
 

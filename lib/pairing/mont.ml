@@ -69,6 +69,7 @@ let create p_big =
     c_mul = Tel.Counter.v Tel.default "pairing.mont_mul";
   }
 
+let limbs ctx = ctx.n
 let zero ctx = Array.make ctx.n 0
 let one ctx = Array.copy ctx.one_m
 
@@ -110,12 +111,13 @@ let sub_p_inplace ctx (t : int array) =
 (* CIOS Montgomery multiplication: interleaves the schoolbook product with
    per-word Montgomery reduction, keeping the accumulator at n+2 limbs.
    Inputs < p, output < p (one conditional final subtraction). *)
-let mul ctx a b =
+let mul_at ctx a off b =
   Tel.Counter.inc ctx.c_mul;
   let n = ctx.n and p = ctx.p and p0inv = ctx.p0inv and t = Domain.DLS.get ctx.scratch in
+  if off < 0 || off + n > Array.length a then invalid_arg "Mont.mul_at";
   Array.fill t 0 (n + 2) 0;
   for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
+    let ai = Array.unsafe_get a (off + i) in
     (* t += ai · b *)
     let c = ref 0 in
     for j = 0 to n - 1 do
@@ -146,26 +148,31 @@ let mul ctx a b =
   Array.blit t 0 r 0 n;
   r
 
+let mul ctx a b = mul_at ctx a 0 b
 let sqr ctx a = mul ctx a a
 
-let add ctx a b =
+let add_at ctx a off b =
   let n = ctx.n in
+  if off < 0 || off + n > Array.length a then invalid_arg "Mont.add_at";
   let r = Array.make n 0 in
   let c = ref 0 in
   for i = 0 to n - 1 do
-    let s = Array.unsafe_get a i + Array.unsafe_get b i + !c in
+    let s = Array.unsafe_get a (off + i) + Array.unsafe_get b i + !c in
     Array.unsafe_set r i (s land mask);
     c := s lsr limb_bits
   done;
   if !c = 1 || geq_p ctx r then ignore (sub_p_inplace ctx r);
   r
 
-let sub ctx a b =
+let add ctx a b = add_at ctx a 0 b
+
+let sub_at ctx a off b =
   let n = ctx.n in
+  if off < 0 || off + n > Array.length a then invalid_arg "Mont.sub_at";
   let r = Array.make n 0 in
   let borrow = ref 0 in
   for i = 0 to n - 1 do
-    let s = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
+    let s = Array.unsafe_get a (off + i) - Array.unsafe_get b i - !borrow in
     if s < 0 then begin
       Array.unsafe_set r i (s + base);
       borrow := 1
@@ -185,6 +192,10 @@ let sub ctx a b =
     done
   end;
   r
+
+let sub ctx a b = sub_at ctx a 0 b
+
+let store ctx a buf off = Array.blit a 0 buf off ctx.n
 
 let neg ctx a = if is_zero a then Array.copy a else sub ctx (zero ctx) a
 
@@ -217,17 +228,49 @@ let of_bigint ctx x =
 
 let to_bigint ctx a = Bigint.of_limbs (mul ctx a ctx.one_raw)
 
-(* LSB-first square-and-multiply; exponent is a plain Bigint (not in
-   Montgomery form). *)
+(* Left-to-right exponentiation over any multiplication; [e] is a plain
+   non-negative Bigint (not in Montgomery form). Exponents up to 32 bits
+   (the 13-bit cofactor power) go bit by bit; longer ones (square and
+   cube roots, Fermat inversion, GT powers) use fixed 4-bit windows over a
+   table of a^0..a^15, which costs 14 products up front and then one
+   product per nonzero window instead of one per set bit. *)
+let pow_generic ~one ~mul ~sqr a e =
+  let nb = Bigint.numbits e in
+  if nb <= 32 then begin
+    let acc = ref a in
+    if nb = 0 then acc := one;
+    for i = nb - 2 downto 0 do
+      acc := sqr !acc;
+      if Bigint.testbit e i then acc := mul !acc a
+    done;
+    !acc
+  end
+  else begin
+    let tbl = Array.make 16 a in
+    tbl.(0) <- one;
+    for i = 2 to 15 do
+      tbl.(i) <- mul tbl.(i - 1) a
+    done;
+    let digit w =
+      let b = 4 * w in
+      (if Bigint.testbit e b then 1 else 0)
+      lor (if Bigint.testbit e (b + 1) then 2 else 0)
+      lor (if Bigint.testbit e (b + 2) then 4 else 0)
+      lor if Bigint.testbit e (b + 3) then 8 else 0
+    in
+    let nwin = (nb + 3) / 4 in
+    let acc = ref tbl.(digit (nwin - 1)) in
+    for w = nwin - 2 downto 0 do
+      acc := sqr (sqr (sqr (sqr !acc)));
+      let d = digit w in
+      if d <> 0 then acc := mul !acc tbl.(d)
+    done;
+    !acc
+  end
+
 let pow ctx a e =
   if Bigint.sign e < 0 then invalid_arg "Mont.pow: negative exponent";
-  let nb = Bigint.numbits e in
-  let acc = ref (one ctx) and b = ref a in
-  for i = 0 to nb - 1 do
-    if Bigint.testbit e i then acc := mul ctx !acc !b;
-    if i < nb - 1 then b := sqr ctx !b
-  done;
-  !acc
+  pow_generic ~one:(one ctx) ~mul:(mul ctx) ~sqr:(sqr ctx) a e
 
 let inv ctx a =
   if is_zero a then raise Division_by_zero;
@@ -235,8 +278,8 @@ let inv ctx a =
 
 (* ---- F_p² = F_p[i]/(i² + 1), components in Montgomery form ----
 
-   Mirrors [Fp2] exactly (same Karatsuba 3-mult product, same inversion by
-   the norm) so the Miller loop can stay in Montgomery form end to end. *)
+   Mirrors [Fp2] (same Karatsuba 3-mult product) for the final
+   exponentiation of the pairing and powers in GT. *)
 module F2 = struct
   (* base-field operations, aliased before the names below shadow them *)
   let el_add = add
@@ -244,25 +287,10 @@ module F2 = struct
   and el_mul = mul
   and el_zero = zero
   and el_one = one
-  and el_neg = neg
-  and el_inv = inv
-  and el_is_zero = is_zero
-  and el_equal = equal
 
   type f2 = { re : el; im : el }
 
-  let zero ctx = { re = el_zero ctx; im = el_zero ctx }
   let one ctx = { re = el_one ctx; im = el_zero ctx }
-  let of_el ctx a = { re = a; im = el_zero ctx }
-  let is_zero a = el_is_zero a.re && el_is_zero a.im
-  let equal a b = el_equal a.re b.re && el_equal a.im b.im
-
-  let add ctx a b = { re = el_add ctx a.re b.re; im = el_add ctx a.im b.im }
-  let sub ctx a b = { re = el_sub ctx a.re b.re; im = el_sub ctx a.im b.im }
-  let neg ctx a = { re = el_neg ctx a.re; im = el_neg ctx a.im }
-
-  (* subtract a base-field element (touches only the real component) *)
-  let sub_el ctx a c = { a with re = el_sub ctx a.re c }
 
   let mul ctx a b =
     let t0 = el_mul ctx a.re b.re in
@@ -277,18 +305,7 @@ module F2 = struct
 
   let mul_el ctx a c = { re = el_mul ctx a.re c; im = el_mul ctx a.im c }
 
-  let inv ctx a =
-    let norm = el_add ctx (el_mul ctx a.re a.re) (el_mul ctx a.im a.im) in
-    let ninv = el_inv ctx norm in
-    { re = el_mul ctx a.re ninv; im = el_neg ctx (el_mul ctx a.im ninv) }
-
   let pow ctx a e =
     if Bigint.sign e < 0 then invalid_arg "Mont.F2.pow: negative exponent";
-    let nb = Bigint.numbits e in
-    let acc = ref (one ctx) and b = ref a in
-    for i = 0 to nb - 1 do
-      if Bigint.testbit e i then acc := mul ctx !acc !b;
-      if i < nb - 1 then b := sqr ctx !b
-    done;
-    !acc
+    pow_generic ~one:(one ctx) ~mul:(mul ctx) ~sqr:(sqr ctx) a e
 end

@@ -34,6 +34,9 @@ val create : Bigint.t -> ctx
 (** Precompute a context for an odd modulus.
     @raise Invalid_argument if the modulus is even or not positive. *)
 
+val limbs : ctx -> int
+(** [n], the number of limbs in every element of this context. *)
+
 val zero : ctx -> el
 val one : ctx -> el
 
@@ -55,35 +58,47 @@ val mul : ctx -> el -> el -> el
 
 val sqr : ctx -> el -> el
 
+(** {2 Elements stored in a flat table}
+
+    A table of many elements (the prepared Miller lines of {!Pairing}) is
+    one [int array] holding element [k] at limbs [[k·n, (k+1)·n)]. These
+    read one operand from such a table at a limb offset, so evaluating a
+    stored element costs no copy. @raise Invalid_argument if the slice
+    runs past the table. *)
+
+val mul_at : ctx -> int array -> int -> el -> el
+(** [mul_at ctx buf off b] is [mul ctx a b] for the [a] stored at [off]. *)
+
+val add_at : ctx -> int array -> int -> el -> el
+(** [add_at ctx buf off b] is [a + b] for the [a] stored at [off]. *)
+
+val sub_at : ctx -> int array -> int -> el -> el
+(** [sub_at ctx buf off b] is [a − b] for the [a] stored at [off]. *)
+
+val store : ctx -> el -> int array -> int -> unit
+(** [store ctx a buf off] writes [a] into the table at [off]. *)
+
 val mul_small : ctx -> el -> int -> el
 (** Multiply by a small non-negative plain integer (the 2/3/8 of the
     curve formulas). @raise Invalid_argument outside [[0, 2^31)]. *)
 
 val pow : ctx -> el -> Bigint.t -> el
-(** Exponent is a plain (non-Montgomery) non-negative Bigint. *)
+(** Exponent is a plain (non-Montgomery) non-negative Bigint. Fixed 4-bit
+    windows above 32 exponent bits, plain square-and-multiply below. *)
 
 val inv : ctx -> el -> el
 (** Fermat inversion [a^(p−2)]; p must be prime (true for every field
     this repo constructs). @raise Division_by_zero on zero. *)
 
-(** [F_p² = F_p[i]/(i²+1)] with components in Montgomery form — mirrors
-    {!Fp2} operation for operation so the Miller loop and final
-    exponentiation never leave Montgomery representation. *)
+(** [F_p² = F_p[i]/(i²+1)] with components in Montgomery form: the
+    operations the pairing's final exponentiation and GT powers need,
+    mirroring {!Fp2}. *)
 module F2 : sig
   type f2 = { re : el; im : el }
 
-  val zero : ctx -> f2
   val one : ctx -> f2
-  val of_el : ctx -> el -> f2
-  val is_zero : f2 -> bool
-  val equal : f2 -> f2 -> bool
-  val add : ctx -> f2 -> f2 -> f2
-  val sub : ctx -> f2 -> f2 -> f2
-  val neg : ctx -> f2 -> f2
-  val sub_el : ctx -> f2 -> el -> f2
   val mul : ctx -> f2 -> f2 -> f2
   val sqr : ctx -> f2 -> f2
   val mul_el : ctx -> f2 -> el -> f2
-  val inv : ctx -> f2 -> f2
   val pow : ctx -> f2 -> Bigint.t -> f2
 end

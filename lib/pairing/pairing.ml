@@ -70,218 +70,310 @@ let pair_reference (params : Params.t) a b =
 
 (* ---- Montgomery-kernel Miller loop ----
 
-   Same algorithm as [miller], but the first argument is tracked in
-   Jacobian coordinates over [Mont] so the loop needs no field inversions,
-   and every line/vertical evaluation is scaled by a factor in F_p*
-   (powers of Z and small constants). The scaling is free: the final
-   exponent is (p² − 1)/q = (p − 1)·12l, and c^(p−1) = 1 for any
-   c ∈ F_p*, so every base-field scale factor dies in the final
-   exponentiation and [pair] equals [pair_reference] exactly (the
+   Same algorithm as [miller], split into a generator and an evaluator.
+
+   The generator walks the multiples T of the first argument P in
+   Jacobian coordinates over [Mont] (no field inversions) and emits, for
+   each Miller step, five coefficients in F_p:
+
+       line      l = a·y_Q + b·x_Q + c
+       vertical  v = d·x_Q + e
+
+   They depend on P only. The evaluator plugs in the distorted second
+   argument Q = (ζ·s, y) and folds the step into the accumulator as
+   f ← f·l·v^p. Since v^p = conj(v) = N(v)/v and N(v) ∈ F_p*, this is
+   f·l/v up to a base-field factor, as is every scaling the Jacobian
+   formulas introduce (powers of Z, small constants). The final exponent
+   is (p² − 1)/q = (p − 1)·12l and c^(p−1) = 1 for every c ∈ F_p*, so all
+   of them die there and [pair] equals [pair_reference] exactly (the
    property tests check this on random inputs).
 
-   Line formulas, anchored at the affine current point (X/Z², Y/Z³) and
+   [pair_product] (and [pair], its one-pair case) evaluates each step's
+   coefficients as they are generated; [with_prepared] stores them for a
+   fixed first argument and [pair_prepared] evaluates the stored table.
+
+   Coefficients, anchored at the affine current point (X/Z², Y/Z³) and
    cleared of denominators:
 
-   - tangent (doubling), scaled by 2y₀Z⁶:
-       l = Z3·ZZ·yq − 2Y² − 3X²·(ZZ·xq − X)         with Z3 = 2YZ
-   - chord through T and affine P = (px, py), scaled by 2Z³(px − x₀):
-       l = Z3·(yq − py) − r·(xq − px)                with r = 2(S2 − Y),
-                                                     Z3 = 2ZH
-   - vertical at T' = (X', Y', Z'), scaled by Z'²:
-       v = Z'²·xq − X'
+   - tangent (doubling), scaled by 2y₀Z⁶, with E = 3X², Z3 = 2YZ:
+       a = Z3·Z², b = −E·Z², c = E·X − 2Y²
+   - chord through T and the affine P = (px, py), scaled by 2Z³(px − x₀),
+     with r = 2(S2 − Y):
+       a = Z3, b = −r, c = r·px − Z3·py
+   - vertical at T' = (X', Y', Z'), scaled by Z'²: d = Z'², e = −X'
+   - a step that reaches O (the 2-torsion tangent, T = −P at the last
+     addition) has the vertical through T as its line and v = 1:
+       a = 0, b = Z², c = −X, d = 0, e = 1
 
    The squared Z of the current point is carried alongside (X, Y, Z) so
-   each step reuses it instead of re-squaring. *)
+   each step reuses it instead of re-squaring.
 
-(* Per-pair Miller state: sets up one (a, b) pair and returns the
-   [dbl_step]/[add_step] closures that advance T and yield this step's
-   (line, vertical) factors. [miller_fast] drives one stepper through the
-   classic loop; [miller_product] drives many through a single shared
-   accumulator. [f2one] must be the caller's accumulator identity so the
-   degenerate-step fast path ([l != f2one]) stays a physical-equality
-   check. *)
-let miller_stepper (params : Params.t) ctx ~f2one a ~bx ~by =
-  let module M = Mont in
-  let module F2 = Mont.F2 in
-  (* distorted second argument: Q = (ζ·bx, by) *)
-  let bxm = M.of_bigint ctx bx in
-  let xq =
-    {
-      F2.re = M.mul ctx (M.of_bigint ctx params.zeta.Fp2.re) bxm;
-      im = M.mul ctx (M.of_bigint ctx params.zeta.Fp2.im) bxm;
-    }
-  in
-  let yq = F2.of_el ctx (M.of_bigint ctx by) in
-  (* affine Montgomery form of the (always affine here) first argument *)
-  let px, py = match a with Curve.Affine { x; y } -> (M.of_bigint ctx x, M.of_bigint ctx y) | Curve.Inf -> assert false in
-  (* current multiple of [a]: Jacobian with cached Z², infinity iff Z = 0 *)
-  let tx = ref px and ty = ref py and tz = ref (M.one ctx) and tzz = ref (M.one ctx) in
-  (* double T, returning (line, vertical) *)
-  let dbl_step () =
-    if M.is_zero !tz then (f2one, f2one)
-    else if M.is_zero !ty then begin
-      (* 2-torsion: the tangent at y = 0 is the vertical through T *)
-      let l = F2.sub_el ctx (F2.mul_el ctx xq !tzz) !tx in
-      tz := M.zero ctx;
-      (l, f2one)
-    end
-    else begin
-      let x = !tx and y = !ty and z = !tz and zz = !tzz in
-      let a2 = M.sqr ctx x in
-      let b = M.sqr ctx y in
-      let c = M.sqr ctx b in
-      let t = M.sqr ctx (M.add ctx x b) in
-      let d = M.mul_small ctx (M.sub ctx (M.sub ctx t a2) c) 2 in
-      let e = M.mul_small ctx a2 3 in
-      let f = M.sqr ctx e in
-      let x3 = M.sub ctx f (M.mul_small ctx d 2) in
-      let y3 = M.sub ctx (M.mul ctx e (M.sub ctx d x3)) (M.mul_small ctx c 8) in
-      let z3 = M.mul_small ctx (M.mul ctx y z) 2 in
-      let zz3 = M.sqr ctx z3 in
-      let l =
-        F2.sub ctx
-          (F2.sub_el ctx (F2.mul_el ctx yq (M.mul ctx z3 zz)) (M.mul_small ctx b 2))
-          (F2.mul_el ctx (F2.sub_el ctx (F2.mul_el ctx xq zz) x) e)
-      in
-      let v = F2.sub_el ctx (F2.mul_el ctx xq zz3) x3 in
-      tx := x3;
-      ty := y3;
-      tz := z3;
-      tzz := zz3;
-      (l, v)
-    end
-  in
-  (* add the affine base point P to T (madd-2007-bl), returning (line,
-     vertical) *)
-  let add_step () =
-    if M.is_zero !tz then begin
-      (* O + P = P; the "line" is the vertical through P *)
-      tx := px;
-      ty := py;
-      tz := M.one ctx;
-      tzz := M.one ctx;
-      (F2.sub_el ctx xq px, f2one)
-    end
-    else begin
-      let x = !tx and y = !ty and z = !tz and zz = !tzz in
-      let u2 = M.mul ctx px zz in
-      let s2 = M.mul ctx py (M.mul ctx z zz) in
-      if M.equal u2 x then begin
-        if M.equal s2 y then dbl_step ()
-        else begin
-          (* P = -T: the chord is the vertical through T; T + P = O *)
-          let l = F2.sub_el ctx (F2.mul_el ctx xq zz) x in
-          tz := M.zero ctx;
-          (l, f2one)
-        end
-      end
-      else begin
-        let h = M.sub ctx u2 x in
-        let hh = M.sqr ctx h in
-        let i = M.mul_small ctx hh 4 in
-        let j = M.mul ctx h i in
-        let r = M.mul_small ctx (M.sub ctx s2 y) 2 in
-        let v = M.mul ctx x i in
-        let x3 = M.sub ctx (M.sub ctx (M.sqr ctx r) j) (M.mul_small ctx v 2) in
-        let y3 = M.sub ctx (M.mul ctx r (M.sub ctx v x3)) (M.mul_small ctx (M.mul ctx y j) 2) in
-        let z3 = M.sub ctx (M.sub ctx (M.sqr ctx (M.add ctx z h)) zz) hh in
-        let zz3 = M.sqr ctx z3 in
-        let l =
-          F2.sub ctx
-            (F2.mul_el ctx (F2.sub_el ctx yq py) z3)
-            (F2.mul_el ctx (F2.sub_el ctx xq px) r)
-        in
-        let vline = F2.sub_el ctx (F2.mul_el ctx xq zz3) x3 in
-        tx := x3;
-        ty := y3;
-        tz := z3;
-        tzz := zz3;
-        (l, vline)
-      end
-    end
-  in
-  (dbl_step, add_step)
+   With x_Q = ζ·s for s ∈ F_p, a line is (a·y + c) + (b·s)·ζ and a
+   vertical e + (d·s)·ζ, so the accumulator is kept in the basis (1, ζ)
+   of F_p² (ζ² = −1 − ζ): evaluating a step's coefficients costs three
+   multiplications, and the accumulator is rewritten in the basis (1, i)
+   of [Fp2] once, before the final exponentiation. *)
 
-let miller_fast (params : Params.t) a ~bx ~by =
-  let ctx = Field.mont_ctx params.fp in
-  let module F2 = Mont.F2 in
-  let f2one = F2.one ctx in
-  let dbl_step, add_step = miller_stepper params ctx ~f2one a ~bx ~by in
-  let num = ref f2one and den = ref f2one in
-  let mul_line target l = if l != f2one then target := F2.mul ctx !target l in
+module M = Mont
+
+let coeffs_per_step = 5
+
+(* c0 + c1·ζ *)
+type zb = { c0 : M.el; c1 : M.el }
+
+(* (a0 + a1ζ)(b0 + b1ζ) = (a0b0 − a1b1) + (a0b1 + a1b0 − a1b1)ζ, Karatsuba *)
+let zmul ctx a b =
+  let t0 = M.mul ctx a.c0 b.c0 and t1 = M.mul ctx a.c1 b.c1 in
+  let t2 = M.mul ctx (M.add ctx a.c0 a.c1) (M.add ctx b.c0 b.c1) in
+  { c0 = M.sub ctx t0 t1; c1 = M.sub ctx (M.sub ctx t2 t0) (M.add ctx t1 t1) }
+
+(* (a0 + a1ζ)² = (a0 + a1)(a0 − a1) + a1(2a0 − a1)ζ *)
+let zsqr ctx a =
+  {
+    c0 = M.mul ctx (M.add ctx a.c0 a.c1) (M.sub ctx a.c0 a.c1);
+    c1 = M.mul ctx a.c1 (M.sub ctx (M.add ctx a.c0 a.c0) a.c1);
+  }
+
+(* the Miller schedule over the bits of q: [step true] doubles, [step
+   false] adds P; the caller squares its accumulator before a doubling *)
+let schedule (params : Params.t) step =
   let q = params.q in
   for i = Bigint.numbits q - 2 downto 0 do
-    num := F2.sqr ctx !num;
-    den := F2.sqr ctx !den;
-    let l, v = dbl_step () in
-    mul_line num l;
-    mul_line den v;
-    if Bigint.testbit q i then begin
-      let l, v = add_step () in
-      mul_line num l;
-      mul_line den v
-    end
-  done;
-  F2.mul ctx !num (F2.inv ctx !den)
+    step true;
+    if Bigint.testbit q i then step false
+  done
 
-let pair (params : Params.t) a b =
-  match (a, b) with
-  | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
-  | Curve.Affine _, Curve.Affine { x = bx; y = by } ->
-    let ctx = Field.mont_ctx params.fp in
-    let f = miller_fast params a ~bx ~by in
-    let g = Mont.F2.pow ctx f params.tate_exp in
-    Fp2.make (Mont.to_bigint ctx g.Mont.F2.re) (Mont.to_bigint ctx g.Mont.F2.im)
+(* The generator: the current multiple T of the first argument P,
+   Jacobian with cached Z², infinity iff Z = 0. *)
+type walk = {
+  ctx : M.ctx;
+  px : M.el;
+  py : M.el;
+  mutable tx : M.el;
+  mutable ty : M.el;
+  mutable tz : M.el;
+  mutable tzz : M.el;
+}
+
+let walk_of ctx ~x ~y =
+  let px = M.of_bigint ctx x and py = M.of_bigint ctx y in
+  { ctx; px; py; tx = px; ty = py; tz = M.one ctx; tzz = M.one ctx }
+
+let emit w buf off a b c d e =
+  let n = M.limbs w.ctx in
+  M.store w.ctx a buf off;
+  M.store w.ctx b buf (off + n);
+  M.store w.ctx c buf (off + (2 * n));
+  M.store w.ctx d buf (off + (3 * n));
+  M.store w.ctx e buf (off + (4 * n))
+
+(* the vertical through T as the line, v = 1, and T + (±T) = O *)
+let emit_vertical w buf off =
+  let ctx = w.ctx in
+  emit w buf off (M.zero ctx) w.tzz (M.neg ctx w.tx) (M.zero ctx) (M.one ctx);
+  w.tz <- M.zero ctx
+
+let dbl_step w buf off =
+  let ctx = w.ctx in
+  if M.is_zero w.tz then
+    (* T = O: l = v = 1 *)
+    emit w buf off (M.zero ctx) (M.zero ctx) (M.one ctx) (M.zero ctx) (M.one ctx)
+  else if M.is_zero w.ty then (* 2-torsion: the tangent at y = 0 is vertical *)
+    emit_vertical w buf off
+  else begin
+    let x = w.tx and y = w.ty and z = w.tz and zz = w.tzz in
+    let a2 = M.sqr ctx x in
+    let b = M.sqr ctx y in
+    let c = M.sqr ctx b in
+    let t = M.sqr ctx (M.add ctx x b) in
+    let d = M.mul_small ctx (M.sub ctx (M.sub ctx t a2) c) 2 in
+    let e = M.mul_small ctx a2 3 in
+    let f = M.sqr ctx e in
+    let x3 = M.sub ctx f (M.mul_small ctx d 2) in
+    let y3 = M.sub ctx (M.mul ctx e (M.sub ctx d x3)) (M.mul_small ctx c 8) in
+    let z3 = M.mul_small ctx (M.mul ctx y z) 2 in
+    let zz3 = M.sqr ctx z3 in
+    emit w buf off (M.mul ctx z3 zz)
+      (M.neg ctx (M.mul ctx e zz))
+      (M.sub ctx (M.mul ctx e x) (M.mul_small ctx b 2))
+      zz3 (M.neg ctx x3);
+    w.tx <- x3;
+    w.ty <- y3;
+    w.tz <- z3;
+    w.tzz <- zz3
+  end
+
+(* add the affine P to T (madd-2007-bl) *)
+let add_step w buf off =
+  let ctx = w.ctx in
+  if M.is_zero w.tz then begin
+    (* O + P = P; the line is the vertical through P *)
+    w.tx <- w.px;
+    w.ty <- w.py;
+    w.tz <- M.one ctx;
+    w.tzz <- M.one ctx;
+    emit w buf off (M.zero ctx) (M.one ctx) (M.neg ctx w.px) (M.zero ctx) (M.one ctx)
+  end
+  else begin
+    let x = w.tx and y = w.ty and z = w.tz and zz = w.tzz in
+    let u2 = M.mul ctx w.px zz in
+    let s2 = M.mul ctx w.py (M.mul ctx z zz) in
+    if M.equal u2 x then begin
+      if M.equal s2 y then dbl_step w buf off
+      else (* P = −T: the chord is the vertical through T *)
+        emit_vertical w buf off
+    end
+    else begin
+      let h = M.sub ctx u2 x in
+      let hh = M.sqr ctx h in
+      let i = M.mul_small ctx hh 4 in
+      let j = M.mul ctx h i in
+      let r = M.mul_small ctx (M.sub ctx s2 y) 2 in
+      let v = M.mul ctx x i in
+      let x3 = M.sub ctx (M.sub ctx (M.sqr ctx r) j) (M.mul_small ctx v 2) in
+      let y3 = M.sub ctx (M.mul ctx r (M.sub ctx v x3)) (M.mul_small ctx (M.mul ctx y j) 2) in
+      let z3 = M.sub ctx (M.sub ctx (M.sqr ctx (M.add ctx z h)) zz) hh in
+      let zz3 = M.sqr ctx z3 in
+      emit w buf off z3 (M.neg ctx r)
+        (M.sub ctx (M.mul ctx r w.px) (M.mul ctx z3 w.py))
+        zz3 (M.neg ctx x3);
+      w.tx <- x3;
+      w.ty <- y3;
+      w.tz <- z3;
+      w.tzz <- zz3
+    end
+  end
+
+let step w dbl buf off = if dbl then dbl_step w buf off else add_step w buf off
+
+(* The evaluator: fold the step stored at [off] into [f] at Q = (ζ·s, y):
+   f·l·v^p with l = (a·y + c) + (b·s)ζ, v = e + (d·s)ζ and
+   v^p = e + (d·s)ζ² = (e − d·s) − (d·s)ζ. *)
+let eval_step ctx buf off ~s ~y f =
+  let n = M.limbs ctx in
+  let l =
+    { c0 = M.add_at ctx buf (off + (2 * n)) (M.mul_at ctx buf off y); c1 = M.mul_at ctx buf (off + n) s }
+  in
+  let ds = M.mul_at ctx buf (off + (3 * n)) s in
+  zmul ctx (zmul ctx f l) { c0 = M.sub_at ctx buf (off + (4 * n)) ds; c1 = M.neg ctx ds }
+
+(* Final exponentiation to (p² − 1)/q = (p − 1)·12l, after rewriting f in
+   the basis (1, i): first f^(p−1) = f^p/f = conj(f)²/N(f), one F_p
+   inversion, then the 13-bit power to the cofactor 12l. *)
+let final_exp (params : Params.t) ctx f =
+  let module F2 = M.F2 in
+  let zr = M.of_bigint ctx params.zeta.Fp2.re and zi = M.of_bigint ctx params.zeta.Fp2.im in
+  let re = M.add ctx f.c0 (M.mul ctx f.c1 zr) and im = M.mul ctx f.c1 zi in
+  let norm = M.add ctx (M.sqr ctx re) (M.sqr ctx im) in
+  let unitary = F2.mul_el ctx (F2.sqr ctx { F2.re; im = M.neg ctx im }) (M.inv ctx norm) in
+  let g = F2.pow ctx unitary params.cofactor in
+  Fp2.make (M.to_bigint ctx g.F2.re) (M.to_bigint ctx g.F2.im)
+
+let zone ctx = { c0 = M.one ctx; c1 = M.zero ctx }
 
 (* ---- product of pairings ----
 
    Batch verification (Bls.verify_batch) needs Π e(a_i, b_i): run all the
-   Miller loops in lockstep over one shared accumulator (the squarings are
-   paid once per iteration, not once per pair) and apply the expensive
-   final exponentiation to the product once. Valid because the final
-   powering is a homomorphism of F_p²*. *)
+   Miller loops in lockstep over one shared accumulator and apply the
+   final exponentiation to the product once. Each loop computes
+   f_i ← f_i²·l_i, so the product F = Π f_i satisfies F ← F²·Π l_i: the
+   accumulator squarings are paid once per step for the whole product.
+   Valid because the final powering is a homomorphism of F_p²*. *)
 
 let pair_product (params : Params.t) pairs =
   let ctx = Field.mont_ctx params.fp in
-  let module F2 = Mont.F2 in
-  let f2one = F2.one ctx in
-  (* one stepper per pair, one shared accumulator: each loop iteration
-     squares num/den once and multiplies in every pair's line factors, so
-     the 2·numbits(q) accumulator squarings are paid once for the whole
-     product instead of once per pair. Valid because each individual loop
-     computes f_i ← f_i²·l_i, so the product F = Π f_i satisfies
-     F ← F²·Π l_i. *)
-  let steppers =
+  let terms =
     List.map
       (fun (a, b) ->
         match (a, b) with
-        | Curve.Inf, _ | _, Curve.Inf ->
-          invalid_arg "Pairing.pair_product: point at infinity"
-        | Curve.Affine _, Curve.Affine { x = bx; y = by } ->
-          miller_stepper params ctx ~f2one a ~bx ~by)
+        | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair_product: point at infinity"
+        | Curve.Affine { x; y }, Curve.Affine { x = s; y = yq } ->
+          (walk_of ctx ~x ~y, M.of_bigint ctx s, M.of_bigint ctx yq))
       pairs
   in
-  let num = ref f2one and den = ref f2one in
-  let mul_line target l = if l != f2one then target := F2.mul ctx !target l in
-  let q = params.q in
-  for i = Bigint.numbits q - 2 downto 0 do
-    num := F2.sqr ctx !num;
-    den := F2.sqr ctx !den;
-    List.iter
-      (fun (dbl_step, add_step) ->
-        let l, v = dbl_step () in
-        mul_line num l;
-        mul_line den v;
-        if Bigint.testbit q i then begin
-          let l, v = add_step () in
-          mul_line num l;
-          mul_line den v
-        end)
-      steppers
-  done;
-  let acc = F2.mul ctx !num (F2.inv ctx !den) in
-  let g = F2.pow ctx acc params.tate_exp in
-  Fp2.make (Mont.to_bigint ctx g.Mont.F2.re) (Mont.to_bigint ctx g.Mont.F2.im)
+  match terms with
+  | [] -> Fp2.one
+  | terms ->
+    let line = Array.make (coeffs_per_step * M.limbs ctx) 0 in
+    let f = ref (zone ctx) in
+    schedule params (fun dbl ->
+        if dbl then f := zsqr ctx !f;
+        List.iter
+          (fun (w, s, y) ->
+            step w dbl line 0;
+            f := eval_step ctx line 0 ~s ~y !f)
+          terms);
+    final_exp params ctx !f
+
+let pair (params : Params.t) a b =
+  match (a, b) with
+  | Curve.Inf, _ | _, Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
+  | Curve.Affine _, Curve.Affine _ -> pair_product params [ (a, b) ]
+
+(* ---- prepared first argument ----
+
+   The step coefficients for a fixed first argument go into one flat int
+   table, [coeffs_per_step] elements of [limbs] each per Miller step. The
+   table is per domain and reused by every [with_prepared] on it, so a
+   client scan allocates no line storage; a nested [with_prepared] on a
+   domain whose table is in use gets a fresh one. The table holds key
+   material (P can be read off the first line), so it is zeroed whenever
+   the scope exits, normally or by an exception. *)
+
+type prepared = { pp_params : Params.t; table : int array; mutable live : bool }
+type slot = { mutable buf : int array; mutable busy : bool }
+
+let slot = Domain.DLS.new_key (fun () -> { buf = [||]; busy = false })
+
+let with_prepared (params : Params.t) a f =
+  match a with
+  | Curve.Inf -> invalid_arg "Pairing.with_prepared: point at infinity"
+  | Curve.Affine { x; y } ->
+    let ctx = Field.mont_ctx params.fp in
+    let stride = coeffs_per_step * M.limbs ctx in
+    let steps = ref 0 in
+    schedule params (fun _ -> incr steps);
+    let len = !steps * stride in
+    let own = Domain.DLS.get slot in
+    let owned = not own.busy in
+    if owned && Array.length own.buf <> len then own.buf <- Array.make len 0;
+    let table = if owned then own.buf else Array.make len 0 in
+    own.busy <- true;
+    let prep = { pp_params = params; table; live = true } in
+    Fun.protect
+      ~finally:(fun () ->
+        prep.live <- false;
+        Array.fill table 0 len 0;
+        if owned then own.busy <- false)
+      (fun () ->
+        let w = walk_of ctx ~x ~y and off = ref 0 in
+        schedule params (fun dbl ->
+            step w dbl table !off;
+            off := !off + stride);
+        f prep)
+
+let pair_prepared prep b =
+  if not prep.live then invalid_arg "Pairing.pair_prepared: outside with_prepared";
+  match b with
+  | Curve.Inf -> invalid_arg "Pairing.pair: point at infinity"
+  | Curve.Affine { x; y } ->
+    let params = prep.pp_params in
+    let ctx = Field.mont_ctx params.fp in
+    let stride = coeffs_per_step * M.limbs ctx in
+    let s = M.of_bigint ctx x and y = M.of_bigint ctx y in
+    let f = ref (zone ctx) and off = ref 0 in
+    schedule params (fun dbl ->
+        if dbl then f := zsqr ctx !f;
+        f := eval_step ctx prep.table !off ~s ~y !f;
+        off := !off + stride);
+    final_exp params ctx !f
+
+let prepared_table_is_clear () = Array.for_all (fun limb -> limb = 0) (Domain.DLS.get slot).buf
+
+let gt_pow (params : Params.t) (g : Fp2.el) k =
+  let ctx = Field.mont_ctx params.fp in
+  let r = M.F2.pow ctx { M.F2.re = M.of_bigint ctx g.Fp2.re; im = M.of_bigint ctx g.Fp2.im } k in
+  Fp2.make (M.to_bigint ctx r.M.F2.re) (M.to_bigint ctx r.M.F2.im)
 
 (* ---- fixed-argument pairing cache ----
 

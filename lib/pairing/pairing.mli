@@ -6,15 +6,22 @@
     (ê(g, g) ≠ 1), which is what Boneh-Franklin IBE and BLS signatures
     need. Bilinearity: ê(aP, bQ) = ê(P, Q)^{ab}.
 
-    Denominators are kept separate during the Miller loop and inverted once
-    at the end (denominator elimination does not apply: the distorted
-    point's x-coordinate is not in F_p).
-
-    [pair] runs the Miller loop in Jacobian coordinates over the
-    fixed-limb Montgomery kernel ({!Mont}) — no field inversions inside
-    the loop, every line scaled by factors in F_p* that the final
-    exponentiation kills. [pair_reference] is the affine Bigint+Barrett
-    implementation it is property-tested against. *)
+    [pair] runs the Miller loop over the fixed-limb Montgomery kernel
+    ({!Mont}). One generator walks the multiples of the first argument
+    in Jacobian coordinates and emits each step's line
+    [l = a·y + b·x + c] and vertical [v = d·x + e] as five coefficients
+    in F_p, which depend on the first argument only; evaluating them at
+    φ(b) costs three multiplications. Denominator elimination does not
+    apply (φ(b) has its x-coordinate outside F_p), so each vertical is
+    folded in as a multiplication by its conjugate [v^p = N(v)/v]; the
+    base-field factors [N(v)], like every Jacobian scaling, die in the
+    final exponentiation, which is split as [(p − 1)·12l]: a conjugate,
+    one F_p inversion and a 13-bit power. [pair] and {!pair_product}
+    evaluate the coefficients as they are generated; {!with_prepared}
+    stores them once for a fixed first argument (a round identity key)
+    so each later pairing only evaluates. [pair_reference] is the affine
+    Bigint+Barrett implementation all of them are property-tested
+    against. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 
@@ -44,6 +51,33 @@ val pair_product : Params.t -> (Curve.point * Curve.point) list -> Fp2.el
     calls. The workhorse of [Bls.verify_batch]. Returns [Fp2.one] on the
     empty list.
     @raise Invalid_argument if any point is the point at infinity. *)
+
+type prepared
+(** The stored Miller-step coefficients of one first argument. Valid
+    only inside the {!with_prepared} call that made it. *)
+
+val with_prepared : Params.t -> Curve.point -> (prepared -> 'a) -> 'a
+(** [with_prepared params a f] runs the generator for [a] once, writing
+    every step's coefficients into the calling domain's flat line table
+    (one [int array], reused by every later call on the domain; a nested
+    call gets a fresh one), and calls [f] with it. Other domains may
+    evaluate the handle while [f] runs. When [f] returns or raises, the
+    table is zeroed — it holds key material — and the handle is dead.
+    @raise Invalid_argument if [a] is the point at infinity. *)
+
+val pair_prepared : prepared -> Curve.point -> Fp2.el
+(** [pair_prepared (prepared for a) b] is [pair params a b], evaluating
+    the stored coefficients at φ(b).
+    @raise Invalid_argument if [b] is the point at infinity, or if the
+    handle is used after its {!with_prepared} returned. *)
+
+val prepared_table_is_clear : unit -> bool
+(** [true] when the calling domain's line table holds only zeros: no
+    prepared key survives a {!with_prepared} scope (§4.4 erasure). *)
+
+val gt_pow : Params.t -> Fp2.el -> Bigint.t -> Fp2.el
+(** [gt_pow params g k] is [g^k] on the Montgomery kernel (IBE
+    encryption's [e(H(id), mpk)^r]); agrees with [Fp2.pow]. *)
 
 val warmup : Params.t -> unit
 (** Force lazily initialised shared state touched by pairing operations

@@ -68,7 +68,11 @@ let measure_local ?pool (params : Params.t) =
   let msk, mpk = Ibe.setup params rng in
   let d_id = Ibe.extract params msk "probe@local" in
   let ctxt = Ibe.encrypt params rng mpk ~id:"probe@local" (String.make 64 'x') in
-  let t_ibe_decrypt = time_per_op (fun () -> Ibe.decrypt params d_id ctxt) 5 in
+  (* a scan attempt: one trial on an identity key prepared once a round *)
+  let t_ibe_decrypt =
+    Ibe.with_prepared params d_id (fun key ->
+        time_per_op (fun () -> Ibe.decrypt_prepared key ctxt) 5)
+  in
   let t_ibe_encrypt =
     time_per_op (fun () -> Ibe.encrypt params rng mpk ~id:"probe@local" (String.make 64 'x')) 5
   in

@@ -71,6 +71,45 @@ let unit_tests =
         Alcotest.(check bool) "well under raw 32 bytes/token" true (bytes * 5 < n * 32));
   ]
 
+(* The dialing benchmark's shape: mailboxes of 203 tokens (48·203 bits, a
+   size with many divisors). Under plain double hashing an element whose
+   second hash shares a large factor with the size set only a few bits. *)
+let index_tests =
+  let random_token st = String.init 32 (fun _ -> Char.chr (Random.State.int st 256)) in
+  [
+    Alcotest.test_case "every element sets at least k/2 distinct bits" `Quick (fun () ->
+        let st = Random.State.make [| 0x5eed |] in
+        let k = Bloom.num_hashes (Bloom.create ~expected_elements:203) in
+        let fewest = ref k in
+        for _ = 1 to 100_000 do
+          let f = Bloom.create ~expected_elements:203 in
+          Bloom.add f (random_token st);
+          let distinct =
+            int_of_float (Float.round (Bloom.fill_ratio f *. float_of_int (Bloom.size_bits f)))
+          in
+          fewest := Stdlib.min !fewest distinct
+        done;
+        Alcotest.(check bool)
+          (Printf.sprintf "fewest distinct bits %d >= k/2" !fewest)
+          true
+          (2 * !fewest >= k));
+    Alcotest.test_case "no false positives in 10^6 probes of 20 mailbox filters" `Quick (fun () ->
+        let st = Random.State.make [| 0xb100 |] in
+        let filters =
+          Array.init 20 (fun _ ->
+              let f = Bloom.create ~expected_elements:203 in
+              for _ = 1 to 203 do
+                Bloom.add f (random_token st)
+              done;
+              f)
+        in
+        let hits = ref 0 in
+        for i = 1 to 1_000_000 do
+          if Bloom.mem filters.(i mod 20) (random_token st) then incr hits
+        done;
+        Alcotest.(check int) "false positives" 0 !hits);
+  ]
+
 let prop name ?(count = 30) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 let property_tests =
@@ -87,4 +126,4 @@ let property_tests =
         | Some g -> List.for_all (Bloom.mem g) items);
   ]
 
-let suite = unit_tests @ property_tests
+let suite = unit_tests @ index_tests @ property_tests

@@ -257,4 +257,189 @@ let unit_tests =
         Alcotest.(check (option reject)) "no pinned key" None (Client.pinned_key c ~email:"bob@x"));
   ]
 
-let suite = unit_tests
+(* ---- the prepared add-friend scan against a reference decryption ---- *)
+
+module Ibe = Alpenhorn_ibe.Ibe
+module Pairing = Alpenhorn_pairing.Pairing
+module Sha256 = Alpenhorn_crypto.Sha256
+module Chacha20 = Alpenhorn_crypto.Chacha20
+module Util = Alpenhorn_crypto.Util
+
+(* FullIdent decryption written out from the scheme (§4.2) on the affine
+   reference pairing, with no plausibility test: the plaintext, and
+   whether it passes the Fujisaki-Okamoto check. *)
+let reference_decrypt pr d_id ctxt =
+  let pb = Curve.point_bytes pr.Params.fp in
+  if String.length ctxt < pb + 32 then None
+  else
+    match Curve.of_bytes pr.Params.fp (String.sub ctxt 0 pb) with
+    | None | Some Curve.Inf -> None
+    | Some u ->
+      let mask = Sha256.digest ("bf-h2" ^ Pairing.gt_bytes pr (Pairing.pair_reference pr d_id u)) in
+      let sigma = Util.xor (String.sub ctxt pb 32) mask in
+      let msg =
+        Chacha20.xor_stream
+          ~key:(Sha256.digest ("bf-h4" ^ sigma))
+          ~nonce:(String.make 12 '\000')
+          (String.sub ctxt (pb + 32) (String.length ctxt - pb - 32))
+      in
+      let r = Pairing.hash_to_scalar pr ("bf-h3" ^ sigma ^ msg) in
+      Some (msg, Curve.equal u (Params.mul_g pr r))
+
+(* One add-friend round for bob, built by hand from a fixed seed so two
+   calls give identical worlds: bob's round state, his aggregated identity
+   key, and a mailbox holding three genuine requests (one with a bit
+   flipped in the last plaintext byte, which stays a plausible request but
+   fails the FO check), faithful IBE noise, random bytes, bit-flipped U,
+   v and w, a request for another identity, and a ciphertext for bob whose
+   plaintext is not a request. *)
+let scan_world () =
+  let d = Deployment.create ~config:Config.test ~seed:"scan-accepted" in
+  let pr = Deployment.params d in
+  let pkgs = Deployment.pkgs d in
+  let bob = Deployment.new_client d ~email:"bob@x" ~callbacks:Client.null_callbacks in
+  (match Deployment.register d bob with Ok () -> () | Error _ -> assert false);
+  let rng = Drbg.create ~seed:"scan-accepted-keys" in
+  let now = Deployment.now d in
+  let senders =
+    List.map
+      (fun email ->
+        let sk, pk = Bls.keygen pr rng in
+        Array.iter
+          (fun pkg ->
+            match Pkg.register pkg ~now ~email ~pk with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "register: %s" (Pkg.error_to_string e))
+          pkgs;
+        List.iter
+          (fun (i, token) ->
+            match Pkg.confirm pkgs.(i) ~now ~email ~token with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "confirm: %s" (Pkg.error_to_string e))
+          (Deployment.inbox d ~email);
+        (email, sk, pk))
+      [ "mallory@x"; "trent@x"; "victor@x" ]
+  in
+  let round = 1 in
+  Array.iter (fun pkg -> ignore (Pkg.begin_round pkg ~round)) pkgs;
+  Array.iter (fun pkg -> ignore (Pkg.reveal_round pkg ~round)) pkgs;
+  let mpk_agg =
+    Ibe.aggregate_public pr
+      (Array.to_list pkgs |> List.map (fun pkg -> Option.get (Pkg.master_public pkg ~round)))
+  in
+  let request (email, sk, pk) =
+    let signature = Bls.sign pr sk (Pkg.extraction_request_message ~email ~round) in
+    let atts =
+      Array.to_list pkgs
+      |> List.map (fun pkg ->
+             match Pkg.extract pkg ~now ~round ~email ~signature with
+             | Ok (_, att) -> att
+             | Error e -> Alcotest.failf "extract: %s" (Pkg.error_to_string e))
+    in
+    let skeleton =
+      {
+        Wire.sender_email = email;
+        sender_key = pk;
+        sender_sig = Curve.infinity;
+        pkg_sigs = Bls.aggregate pr atts;
+        dialing_key = snd (Dh.keygen pr rng);
+        dialing_round = 5;
+      }
+    in
+    Wire.encode_request pr
+      { skeleton with Wire.sender_sig = Bls.sign pr sk (Wire.sender_sig_message pr skeleton) }
+  in
+  let shares = ref [] in
+  let af =
+    match
+      Client.begin_addfriend_round_with bob ~round ~n_pkgs:(Array.length pkgs)
+        ~extract:(fun i ~email ~signature ->
+          let r = Pkg.extract pkgs.(i) ~now ~round ~email ~signature in
+          (match r with Ok (share, _) -> shares := share :: !shares | Error _ -> ());
+          r)
+    with
+    | Ok af -> af
+    | Error e -> Alcotest.failf "begin: %s" (Pkg.error_to_string e)
+  in
+  let d_id = Ibe.aggregate_identity pr !shares in
+  let to_bob plaintext = Ibe.encrypt pr rng mpk_agg ~id:"bob@x" plaintext in
+  let flip ctxt i =
+    let b = Bytes.of_string ctxt in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+    Bytes.to_string b
+  in
+  let pb = Curve.point_bytes pr.Params.fp in
+  let size = Wire.request_plaintext_size pr in
+  let real = List.map (fun s -> to_bob (request s)) senders in
+  let mailbox =
+    [
+      List.nth real 0;
+      Ibe.encrypt pr rng mpk_agg ~id:"noise@x" (Drbg.bytes rng size);
+      flip (List.nth real 1) 0;
+      List.nth real 1;
+      flip (List.nth real 0) pb;
+      flip (List.nth real 0) (pb + 32);
+      Drbg.bytes rng (String.length (List.nth real 0));
+      Ibe.encrypt pr rng mpk_agg ~id:"carol@x" (request (List.nth senders 0));
+      flip (List.nth real 2) (String.length (List.nth real 2) - 1);
+      to_bob (Drbg.bytes rng size);
+      List.nth real 2;
+    ]
+  in
+  (pr, bob, af, d_id, mailbox)
+
+let scan_tests =
+  [
+    Alcotest.test_case "prepared scan accepts exactly the reference set" `Quick (fun () ->
+        let pr, bob, af, d_id, mailbox = scan_world () in
+        let decodes = function
+          | Some msg -> Wire.decode_request pr msg <> None
+          | None -> false
+        in
+        let reference =
+          List.map
+            (fun c ->
+              match reference_decrypt pr d_id c with
+              | Some (msg, true) -> Some msg
+              | Some (_, false) | None -> None)
+            mailbox
+        in
+        let prepared =
+          Ibe.with_prepared pr d_id (fun key ->
+              List.map (Ibe.decrypt_prepared ~plausible:(Wire.plausible_request pr) key) mailbox)
+        in
+        let accepted outs = List.filter decodes outs in
+        let indices outs = List.concat (List.mapi (fun i o -> if decodes o then [ i ] else []) outs) in
+        Alcotest.(check (list int)) "reference accepts the genuine requests" [ 0; 3; 10 ]
+          (indices reference);
+        Alcotest.(check (list int)) "same accepted set" (indices reference) (indices prepared);
+        Alcotest.(check (list (option string))) "same plaintexts" (accepted reference)
+          (accepted prepared);
+        (* the constructed edge cases are what they claim to be *)
+        (match reference_decrypt pr d_id (List.nth mailbox 8) with
+         | Some (msg, fo) ->
+           Alcotest.(check bool) "flipped last byte: plausible" true (Wire.plausible_request pr msg);
+           Alcotest.(check bool) "flipped last byte: fails FO" false fo
+         | None -> Alcotest.fail "flipped last byte did not decrypt");
+        (match reference_decrypt pr d_id (List.nth mailbox 9) with
+         | Some (msg, fo) ->
+           Alcotest.(check bool) "random body: passes FO" true fo;
+           Alcotest.(check bool) "random body: not a request" false (decodes (Some msg))
+         | None -> Alcotest.fail "random body did not decrypt");
+        (* the client scan emits for the whole mailbox what an identical
+           client emits for the reference-accepted ciphertexts alone *)
+        let events = Client.scan_addfriend_mailbox bob af mailbox in
+        Alcotest.(check bool) "prepared table erased" true (Pairing.prepared_table_is_clear ());
+        let _, bob', af', _, mailbox' = scan_world () in
+        Alcotest.(check (list string)) "identical worlds" mailbox mailbox';
+        let reference_events =
+          Client.scan_addfriend_mailbox bob' af'
+            (List.filteri (fun i _ -> List.mem i (indices reference)) mailbox')
+        in
+        Alcotest.(check int) "three requests accepted" 3
+          (List.length
+             (List.filter (function Client.Friend_request_accepted _ -> true | _ -> false) events));
+        Alcotest.(check bool) "same events" true (events = reference_events));
+  ]
+
+let suite = unit_tests @ scan_tests

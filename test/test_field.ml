@@ -59,6 +59,34 @@ let unit_tests =
           let cube = Field.mul f (Field.sqr f x) x in
           Alcotest.(check string) "cbrt(x^3) = x" (B.to_string x) (B.to_string (Field.cbrt f cube))
         done);
+    Alcotest.test_case "Montgomery sqrt and cbrt match the Barrett pow reference" `Quick
+      (fun () ->
+        (* both moduli, random inputs (about half of them non-residues)
+           plus 0, 1 and p − 1 *)
+        List.iter
+          (fun f ->
+            let p = Field.modulus f in
+            let sqrt_exp = B.div (B.add p B.one) (B.of_int 4)
+            and cbrt_exp = B.div (B.sub (B.mul_int p 2) B.one) (B.of_int 3) in
+            let rng = Drbg.create ~seed:"mont-roots" in
+            let residues = ref 0 and non_residues = ref 0 in
+            let inputs = B.zero :: B.one :: B.sub p B.one :: List.init 60 (fun _ -> Drbg.bigint_below rng p) in
+            List.iter
+              (fun a ->
+                let r = Field.pow f a sqrt_exp in
+                let expected = if B.equal (Field.sqr f r) a then Some r else None in
+                (match (expected, Field.sqrt f a) with
+                 | None, None -> incr non_residues
+                 | Some e, Some got ->
+                   incr residues;
+                   Alcotest.(check string) "sqrt" (B.to_string e) (B.to_string got)
+                 | _ -> Alcotest.fail ("sqrt residuosity differs at " ^ B.to_string a));
+                Alcotest.(check string) "cbrt"
+                  (B.to_string (Field.pow f a cbrt_exp))
+                  (B.to_string (Field.cbrt f a)))
+              inputs;
+            Alcotest.(check bool) "both kinds seen" true (!residues > 10 && !non_residues > 10))
+          [ fp (); (Alpenhorn_pairing.Params.production ()).Alpenhorn_pairing.Params.fp ]);
     Alcotest.test_case "element bytes roundtrip" `Quick (fun () ->
         let f = fp () in
         let rng = Drbg.create ~seed:"fbytes" in

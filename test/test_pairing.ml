@@ -132,6 +132,100 @@ let fast_path_tests =
           (Tel.Snapshot.counter_sum snap "pairing.cache_misses" >= 1));
   ]
 
+(* The three Montgomery paths — [pair] (coefficients evaluated as they
+   are generated), [pair_prepared] (stored once) and [pair_product] —
+   against the affine reference, on random pairs and on first arguments
+   whose Miller walk takes the degenerate steps: the 2-torsion point
+   (-1, 0), whose first tangent is vertical, and the 3-torsion point
+   (0, 1), whose walk passes through O. Every walk of an order-q point
+   ends with T = -P at the last addition. *)
+let coefficient_paths_tests =
+  let degenerate pr =
+    let f = pr.Params.fp in
+    [
+      Curve.make f ~x:(Alpenhorn_pairing.Field.neg f B.one) ~y:B.zero;
+      Curve.make f ~x:B.zero ~y:B.one;
+    ]
+  in
+  let random_pairs pr n =
+    let f = pr.Params.fp and g = pr.Params.g in
+    let rng = Drbg.create ~seed:"pair-paths" in
+    List.init n (fun i ->
+        let a = Curve.mul f (B.add B.one (Drbg.bigint_below rng (B.sub pr.Params.q B.one))) g in
+        let b =
+          if i mod 2 = 0 then Pairing.hash_to_group pr (string_of_int i)
+          else Curve.mul f (B.add B.one (Drbg.bigint_below rng (B.sub pr.Params.q B.one))) g
+        in
+        (a, b))
+  in
+  let check_paths pr pairs =
+    List.iter
+      (fun (a, b) ->
+        let reference = Pairing.pair_reference pr a b in
+        Alcotest.(check bool) "pair = reference" true (Fp2.equal (Pairing.pair pr a b) reference);
+        Alcotest.(check bool) "pair_product [a, b] = reference" true
+          (Fp2.equal (Pairing.pair_product pr [ (a, b) ]) reference);
+        Pairing.with_prepared pr a (fun prep ->
+            Alcotest.(check bool) "prepared = reference" true
+              (Fp2.equal (Pairing.pair_prepared prep b) reference);
+            (* the table is reusable: a second evaluation agrees *)
+            Alcotest.(check bool) "prepared twice" true
+              (Fp2.equal (Pairing.pair_prepared prep b) reference)))
+      pairs;
+    let product =
+      List.fold_left
+        (fun acc (a, b) -> Fp2.mul pr.Params.fp acc (Pairing.pair_reference pr a b))
+        Fp2.one pairs
+    in
+    Alcotest.(check bool) "pair_product = product of references" true
+      (Fp2.equal (Pairing.pair_product pr pairs) product)
+  in
+  [
+    Alcotest.test_case "pair, prepared and product equal the reference" `Quick (fun () ->
+        let pr = p () in
+        check_paths pr (random_pairs pr 8));
+    Alcotest.test_case "pair, prepared and product equal the reference on degenerate steps"
+      `Quick (fun () ->
+        let pr = p () in
+        check_paths pr (List.map (fun t -> (t, pr.Params.g)) (degenerate pr)));
+    Alcotest.test_case "prepared paths on the production curve" `Slow (fun () ->
+        let pr = Params.production () in
+        check_paths pr (random_pairs pr 2));
+    Alcotest.test_case "prepared table is zeroed on exit, also on an exception" `Quick (fun () ->
+        let pr = p () in
+        let g = pr.Params.g in
+        let kept = ref None in
+        Pairing.with_prepared pr g (fun prep ->
+            kept := Some prep;
+            Alcotest.(check bool) "table in use holds the key" false
+              (Pairing.prepared_table_is_clear ());
+            (* a nested scope on the same domain gets its own table *)
+            Pairing.with_prepared pr g (fun inner -> ignore (Pairing.pair_prepared inner g));
+            Alcotest.(check bool) "outer table intact after nested scope" true
+              (Fp2.equal (Pairing.pair_prepared prep g) (Pairing.pair_reference pr g g)));
+        Alcotest.(check bool) "zero after return" true (Pairing.prepared_table_is_clear ());
+        (match !kept with
+         | None -> Alcotest.fail "no handle"
+         | Some prep ->
+           Alcotest.check_raises "dead handle"
+             (Invalid_argument "Pairing.pair_prepared: outside with_prepared") (fun () ->
+               ignore (Pairing.pair_prepared prep g)));
+        Alcotest.check_raises "trial raises" (Failure "trial") (fun () ->
+            Pairing.with_prepared pr g (fun prep ->
+                ignore (Pairing.pair_prepared prep g);
+                failwith "trial"));
+        Alcotest.(check bool) "zero after raise" true (Pairing.prepared_table_is_clear ()));
+    Alcotest.test_case "gt_pow matches Fp2.pow" `Quick (fun () ->
+        let pr = p () in
+        let e = Pairing.pair pr pr.Params.g (Pairing.hash_to_group pr "gt-pow") in
+        let rng = Drbg.create ~seed:"gt-pow" in
+        List.iter
+          (fun k ->
+            Alcotest.(check bool) (B.to_string k) true
+              (Fp2.equal (Pairing.gt_pow pr e k) (Fp2.pow pr.Params.fp e k)))
+          (B.zero :: B.one :: B.of_int 77 :: List.init 6 (fun _ -> Drbg.bigint_below rng pr.Params.q)));
+  ]
+
 let prop name ?(count = 15) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 let property_tests =
@@ -160,4 +254,5 @@ let property_tests =
           (Pairing.pair pr (Curve.mul f (B.of_int b) g) (Curve.mul f (B.of_int a) h)));
   ]
 
-let suite = unit_tests @ two_torsion_tests @ fast_path_tests @ property_tests
+let suite =
+  unit_tests @ two_torsion_tests @ fast_path_tests @ coefficient_paths_tests @ property_tests
