@@ -1107,13 +1107,13 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
       ~pkgs:(Array.map (fun c -> localhost c.port) pkg_children)
       ~mixers ()
   in
-  Net_deployment.set_faults nd fault_view;
+  Deployment.set_faults nd fault_view;
+  (* trace every round: all span ids are minted by this tracer, and
+     servers replay carried identities, so merged snapshots stitch *)
+  let tracer = if with_metrics then Some (Trace.create Tel.default) else None in
   let coll =
     if not with_metrics then None
     else begin
-      (* trace every round: all span ids are minted by this tracer, and
-         servers replay carried identities, so merged snapshots stitch *)
-      Net_deployment.set_tracer nd (Some (Trace.create Tel.default));
       let fetch ~host ~port path = Listener.fetch ~host ~port path in
       let remote (c : child) = Collector.Remote { host = "127.0.0.1"; port = c.metrics } in
       let insts =
@@ -1140,15 +1140,15 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
     Printf.printf "fault schedule: %s\n%!" (Faults.to_string faults);
   let net_af, net_dial =
     run_scenario ~rounds
-      ~new_client:(fun email -> Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
+      ~new_client:(fun email -> Deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
       ~register:(fun cl ->
-        match Net_deployment.register nd cl with
+        match Deployment.register nd cl with
         | Ok () -> ()
         | Error e -> failwith (Alpenhorn_pkg.Pkg.error_to_string e))
       ~add_friend:(fun cl email -> Client.add_friend cl ~email ())
       ~call:(fun cl email intent -> Client.call cl ~email ~intent)
       ~af:(fun () ->
-        let s = Net_deployment.run_addfriend_round nd () in
+        let s = Deployment.run_addfriend_round nd ?tracer () in
         Printf.printf "af round %d over TCP: %d in, %d noise, attempts %d — %s\n%!"
           s.Deployment.af_round s.Deployment.requests_in s.Deployment.noise_added
           s.Deployment.af_attempts
@@ -1157,7 +1157,7 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
         ( s.Deployment.af_attempts,
           List.map (fun (w, e) -> (w, pp_af_event e)) s.Deployment.events ))
       ~dial:(fun () ->
-        let s = Net_deployment.run_dialing_round nd () in
+        let s = Deployment.run_dialing_round nd ?tracer () in
         Printf.printf "dial round %d over TCP: %d in, %d noise, attempts %d — %s\n%!"
           s.Deployment.dial_round s.Deployment.tokens_in s.Deployment.dial_noise_added
           s.Deployment.dial_attempts
@@ -1166,7 +1166,7 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
         ( s.Deployment.dial_attempts,
           List.map (fun (w, e) -> (w, pp_dial_event e)) s.Deployment.calls ))
   in
-  Net_deployment.close nd;
+  Deployment.close nd;
   (* ---- fleet observability checks (--scrape / --fleet-slo) ---- *)
   let fleet_ok =
     match coll with
@@ -1215,14 +1215,37 @@ let run_e2e_net seed rounds faults_spec skip_verify scrape fleet_slo domains =
           ok := false)
       end;
       if fleet_slo then begin
+        (* the round engine's own rules must see data over the wire too: a
+           rule skipped for lack of its metric fails the run *)
+        let engine_rules =
+          List.filter
+            (fun r ->
+              List.mem r.Slo.name
+                [
+                  "faults.consecutive_aborts"; "faults.recovery_time"; "round.addfriend.deadline";
+                  "round.dialing.deadline"; "mailbox.load";
+                ])
+            (Slo.default_rules
+               ~max_consecutive_aborts:
+                 (float_of_int (Client.default_retry_policy.Client.max_attempts - 1))
+               ())
+        in
         let report =
-          Collector.evaluate coll (Collector.fleet_rules ~max_staleness:300.0 ())
+          Collector.evaluate coll (Collector.fleet_rules ~max_staleness:300.0 () @ engine_rules)
         in
         Format.printf "%a@?" Slo.pp_report report;
         if not report.Slo.healthy then begin
           prerr_endline "fleet: FAIL — fleet SLO report unhealthy";
           ok := false
-        end
+        end;
+        List.iter
+          (fun (c : Slo.check) ->
+            if c.value = None && List.memq c.rule engine_rules then begin
+              Printf.eprintf "fleet: FAIL — engine SLO rule %s skipped for lack of data\n"
+                c.rule.name;
+              ok := false
+            end)
+          report.Slo.checks
       end;
       !ok
   in
@@ -1324,9 +1347,10 @@ let e2e_net_cmd =
       & info [ "fleet-slo" ]
           ~doc:
             "Evaluate fleet-wide SLO rules (zero rpc.errors across all instances, every \
-             instance up, staleness and latency ceilings) over the merged fleet snapshot \
-             and print the report; implies the scraping infrastructure. Exit 1 when \
-             unhealthy.")
+             instance up, staleness and latency ceilings) and the round engine's fault, \
+             deadline and mailbox-load rules over the merged fleet snapshot and print the \
+             report; implies the scraping infrastructure. Exit 1 when unhealthy or when an \
+             engine rule finds no data.")
   in
   Cmd.v
     (Cmd.info "e2e-net"

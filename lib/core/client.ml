@@ -130,7 +130,6 @@ let remove_friend t ~email =
 
 let pinned_key t ~email = Hashtbl.find_opt t.pinned email
 let pending_add_friends t = List.length t.addfriend_queue + List.length t.confirm_queue
-let pending_calls t = List.length t.call_queue
 
 (* ---- round abort recovery (DESIGN.md §10) ---- *)
 
@@ -233,19 +232,20 @@ let begin_addfriend_round t ~round ~now ~pkgs =
   begin_addfriend_round_with t ~round ~n_pkgs:(Array.length pkgs) ~extract:(fun i ~email ~signature ->
       Pkg.extract pkgs.(i) ~now ~round ~email ~signature)
 
-(* Batched variant for a whole deployment: one Pkg.extract_batch call per
-   PKG covers every client, so the per-request verify/extract/sign work
-   fans out across the domain pool.  Per client the per-PKG results are
-   consumed in the same order, with the same first-error short-circuit, as
-   [begin_addfriend_round], so the healthy path is value-identical. *)
-let begin_addfriend_round_batch clients ~round ~now ~pkgs =
+(* Batched variant for a whole deployment: one batch extraction per PKG
+   covers every client (in-process, Pkg.extract_batch fans the per-request
+   verify/extract/sign work across the domain pool).  Per client the
+   per-PKG results are consumed in the same order, with the same
+   first-error short-circuit, as [begin_addfriend_round], so the healthy
+   path is value-identical. *)
+let begin_addfriend_round_batch_with clients ~round ~n_pkgs ~extract_batch =
   let arr = Array.of_list clients in
   let requests = Array.map (fun c -> (c.email, sign_extraction_request c ~round)) arr in
-  let per_pkg = Array.map (fun pkg -> Pkg.extract_batch pkg ~now ~round requests) pkgs in
+  let per_pkg = Array.init n_pkgs (fun j -> extract_batch j requests) in
   Array.to_list arr
   |> List.mapi (fun i c ->
          let rec collect j keys sigs =
-           if j = Array.length pkgs then
+           if j = n_pkgs then
              Ok
                {
                  af_round_num = round;
@@ -259,6 +259,10 @@ let begin_addfriend_round_batch clients ~round ~now ~pkgs =
            end
          in
          (c, collect 0 [] []))
+
+let begin_addfriend_round_batch clients ~round ~now ~pkgs =
+  begin_addfriend_round_batch_with clients ~round ~n_pkgs:(Array.length pkgs)
+    ~extract_batch:(fun j requests -> Pkg.extract_batch pkgs.(j) ~now ~round requests)
 
 (* DialingRound for a fresh keywheel entry: safely ahead of the wheel's
    clock so both clients can still reach it (Fig 5). *)

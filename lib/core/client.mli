@@ -54,7 +54,6 @@ val email : t -> string
 val signing_public : t -> Bls.public
 (** Fig 1 [MySigningKey]. *)
 
-val sign_extraction_request : t -> round:int -> Bls.signature
 val sign_deregister : t -> Bls.signature
 
 (** {1 Address book} *)
@@ -78,7 +77,6 @@ val pinned_key : t -> email:string -> Bls.public option
 (** The TOFU-pinned long-term key for a friend. *)
 
 val pending_add_friends : t -> int
-val pending_calls : t -> int
 
 (** {1 Round abort recovery (DESIGN.md §10)}
 
@@ -144,11 +142,9 @@ val begin_addfriend_round_with :
     signature:Bls.signature ->
     (Ibe.identity_key * Bls.signature, Pkg.error) result) ->
   (af_round, Pkg.error) result
-(** The transport seam behind {!begin_addfriend_round}: [extract i] performs
-    the authenticated key-extraction round trip with the [i]th PKG, however
-    the caller reaches it — an in-process {!Pkg.t} handle or a network RPC
-    ({!Alpenhorn_remote}'s framed TCP transport). Identical aggregation and
-    first-error semantics. *)
+(** The seam behind {!begin_addfriend_round}: [extract i] performs the
+    authenticated key-extraction round trip with the [i]th PKG, however the
+    caller reaches it. Identical aggregation and first-error semantics. *)
 
 val begin_addfriend_round_batch :
   t list ->
@@ -161,6 +157,20 @@ val begin_addfriend_round_batch :
     verify/extract/sign work across the domain pool. Result order matches
     the input client list; per client the outcome (including which error
     is reported first) matches the sequential call. *)
+
+val begin_addfriend_round_batch_with :
+  t list ->
+  round:int ->
+  n_pkgs:int ->
+  extract_batch:
+    (int ->
+    (string * Bls.signature) array ->
+    (Ibe.identity_key * Bls.signature, Pkg.error) result array) ->
+  (t * (af_round, Pkg.error) result) list
+(** The transport seam behind {!begin_addfriend_round_batch}: [extract_batch
+    j requests] answers every [(email, signature)] request at the [j]th
+    PKG, in request order, however the caller reaches it — an in-process
+    {!Pkg.t} or the round engine's RPC backend. *)
 
 val addfriend_submission :
   t ->

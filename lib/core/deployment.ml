@@ -37,14 +37,53 @@ let archived_lookup entry ~email =
   | Per_mailbox (filters, k) -> filters.(Mailbox.mailbox_of_identity email ~num_mailboxes:k)
   | Per_shard (filters, shard) -> filters.(Shard.of_identity shard email)
 
+(* ---- backends: the operations that differ by transport ---- *)
+
+type pkg = {
+  public_key : unit -> Bls.public;
+  register : now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
+  confirmation_token : email:string -> string option;
+  confirm : now:int -> email:string -> token:string -> (unit, Pkg.error) result;
+  commit : round:int -> string;
+  reveal : round:int -> (Ibe.master_public * string, Pkg.error) result;
+  extract_batch :
+    now:int ->
+    round:int ->
+    (string * Bls.signature) array ->
+    (Ibe.identity_key * Bls.signature, Pkg.error) result array;
+  end_round : round:int -> unit;
+}
+
+type chain = {
+  begin_round : unit -> Alpenhorn_dh.Dh.public list;
+  mix :
+    noise_mu:float ->
+    laplace_b:float ->
+    num_mailboxes:int ->
+    mpk_agg:Ibe.master_public option ->
+    tracer:Trace.t option ->
+    (string * Trace.ctx option) array ->
+    (string * Trace.ctx option) array * int;
+  erase : unit -> unit;
+  crash : server:int -> unit;
+  restart : unit -> unit;
+}
+
+type backend = {
+  pkg_ops : pkg array;
+  af_chain : chain;
+  dial_chain : chain;
+  with_round : 'a. Trace.t option -> phase:string -> round:int -> (unit -> 'a) -> 'a;
+  close : unit -> unit;
+}
+
 type t = {
   config : Config.t;
   params : Params.t;
   rng : Drbg.t;
-  pkgs : Pkg.t array;
-  af_chain : Chain.t;
-  dial_chain : Chain.t;
-  inboxes : (string, (int * string) list ref) Hashtbl.t; (* simulated email provider *)
+  backend : backend;
+  pkgs : Pkg.t array; (* the in-process PKGs; empty over a remote backend *)
+  inboxes : (string, (int * string) list) Hashtbl.t; (* simulated email provider *)
   dial_archive : (int, archived) Hashtbl.t; (* round -> that round's filters (§5.1) *)
   mutable clients : Client.t list; (* registered clients *)
   mutable af_round : int;
@@ -56,36 +95,14 @@ type t = {
   mutable worst_streak : int;
 }
 
-let create ~config ~seed =
+let make ~config ~rng ~pkgs ~inboxes backend =
   (match Config.validate config with Ok () -> () | Error m -> invalid_arg ("Deployment.create: " ^ m));
-  let params = Config.params config in
-  let rng = Drbg.create ~seed:("deployment" ^ seed) in
-  let inboxes = Hashtbl.create 256 in
-  let deliver pkg_index ~to_ ~token =
-    let box =
-      match Hashtbl.find_opt inboxes to_ with
-      | Some b -> b
-      | None ->
-        let b = ref [] in
-        Hashtbl.replace inboxes to_ b;
-        b
-    in
-    box := (pkg_index, token) :: !box
-  in
-  let pkgs =
-    Array.init config.Config.n_pkgs (fun i ->
-        Pkg.create params
-          ~rng:(Drbg.derive rng (Printf.sprintf "pkg-%d" i))
-          ~send_email:(deliver i) ())
-  in
   {
     config;
-    params;
+    params = Config.params config;
     rng;
+    backend;
     pkgs;
-    af_chain = Chain.create params ~rng:(Drbg.derive rng "af-chain") ~chain_length:config.Config.chain_length;
-    dial_chain =
-      Chain.create params ~rng:(Drbg.derive rng "dial-chain") ~chain_length:config.Config.chain_length;
     inboxes;
     dial_archive = Hashtbl.create 64;
     clients = [];
@@ -98,10 +115,81 @@ let create ~config ~seed =
     worst_streak = 0;
   }
 
+let root_rng seed = Drbg.create ~seed:("deployment" ^ seed)
+let of_backend ~config ~seed backend = make ~config ~rng:(root_rng seed) ~pkgs:[||] ~inboxes:(Hashtbl.create 1) backend
+let untraced_round _ ~phase:_ ~round:_ f = f ()
+
+let inbox_of inboxes email = Option.value ~default:[] (Hashtbl.find_opt inboxes email)
+
+let local_pkg pkg inboxes i =
+  {
+    public_key = (fun () -> Pkg.long_term_public pkg);
+    register = Pkg.register pkg;
+    confirmation_token = (fun ~email -> List.assoc_opt i (inbox_of inboxes email));
+    confirm = Pkg.confirm pkg;
+    commit = Pkg.begin_round pkg;
+    reveal = Pkg.reveal_round pkg;
+    extract_batch = Pkg.extract_batch pkg;
+    end_round = Pkg.end_round pkg;
+  }
+
+(* Noise is drawn from the deployment's own stream: request-sized for the
+   add-friend chain (a genuine IBE encryption of random bytes to a random
+   identity when faithful, relying on ciphertext anonymity, §4.3), dial
+   tokens otherwise. *)
+let local_chain config params ~rng ~label =
+  let chain = Chain.create params ~rng:(Drbg.derive rng label) ~chain_length:config.Config.chain_length in
+  let noise_body mpk_agg ~mailbox:_ =
+    match mpk_agg with
+    | None -> Drbg.bytes rng Wire.dial_token_size
+    | Some mpk_agg when config.Config.faithful_noise ->
+      let id = "noise-" ^ Alpenhorn_crypto.Util.to_hex (Drbg.bytes rng 8) in
+      let body = Drbg.bytes rng (Wire.request_plaintext_size params) in
+      Ibe.encrypt params rng mpk_agg ~id body
+    | Some _ -> Drbg.bytes rng (Wire.request_ciphertext_size params)
+  in
+  {
+    begin_round = (fun () -> Chain.begin_round chain);
+    mix =
+      (fun ~noise_mu ~laplace_b ~num_mailboxes ~mpk_agg ~tracer batch ->
+        Chain.mix chain ~noise_mu ~laplace_b ~num_mailboxes ~noise_body:(noise_body mpk_agg) ?tracer
+          batch);
+    erase = (fun () -> Chain.abort_round chain);
+    crash = (fun ~server -> Chain.crash_server chain ~server);
+    restart =
+      (fun () ->
+        for s = 0 to Chain.chain_length chain - 1 do
+          if Chain.server_down chain ~server:s then Chain.restart_server chain ~server:s
+        done);
+  }
+
+let create ~config ~seed =
+  let params = Config.params config in
+  let rng = root_rng seed in
+  let inboxes = Hashtbl.create 256 in
+  let deliver pkg_index ~to_ ~token =
+    Hashtbl.replace inboxes to_ ((pkg_index, token) :: inbox_of inboxes to_)
+  in
+  let pkgs =
+    Array.init config.Config.n_pkgs (fun i ->
+        Pkg.create params
+          ~rng:(Drbg.derive rng (Printf.sprintf "pkg-%d" i))
+          ~send_email:(deliver i) ())
+  in
+  make ~config ~rng ~pkgs ~inboxes
+    {
+      pkg_ops = Array.mapi (fun i pkg -> local_pkg pkg inboxes i) pkgs;
+      af_chain = local_chain config params ~rng ~label:"af-chain";
+      dial_chain = local_chain config params ~rng ~label:"dial-chain";
+      with_round = untraced_round;
+      close = ignore;
+    }
+
+let close t = t.backend.close ()
 let config t = t.config
 let params t = t.params
 let pkgs t = t.pkgs
-let pkg_public_keys t = Array.to_list (Array.map Pkg.long_term_public t.pkgs)
+let pkg_public_keys t = Array.to_list (Array.map (fun p -> p.public_key ()) t.backend.pkg_ops)
 let now t = t.clock
 let advance_clock t ~seconds = t.clock <- t.clock + seconds
 let addfriend_round_number t = t.af_round
@@ -112,33 +200,22 @@ let new_client t ~email ~callbacks =
     ~rng:(Drbg.derive t.rng ("client-" ^ email))
     ~email ~pkg_public_keys:(pkg_public_keys t) ~callbacks
 
-let inbox t ~email = match Hashtbl.find_opt t.inboxes email with Some b -> !b | None -> []
+let inbox t ~email = inbox_of t.inboxes email
 
 let register t client =
   let email = Client.email client in
   let pk = Client.signing_public client in
-  let rec per_pkg i =
-    if i = Array.length t.pkgs then Ok ()
-    else begin
-      match Pkg.register t.pkgs.(i) ~now:t.clock ~email ~pk with
-      | Error e -> Error e
-      | Ok () ->
-        (* the user reads the confirmation email and echoes the token *)
-        let token =
-          match List.assoc_opt i (inbox t ~email) with
-          | Some tok -> tok
-          | None -> "" (* no email delivered: confirmation will fail below *)
-        in
-        (match Pkg.confirm t.pkgs.(i) ~now:t.clock ~email ~token with
-         | Error e -> Error e
-         | Ok () -> per_pkg (i + 1))
-    end
+  (* PKG by PKG, stopping at the first error: the user reads each
+     confirmation email and echoes the token (no email, no confirmation) *)
+  let per_pkg result p =
+    Result.bind result (fun () ->
+        Result.bind (p.register ~now:t.clock ~email ~pk) (fun () ->
+            let token = Option.value ~default:"" (p.confirmation_token ~email) in
+            p.confirm ~now:t.clock ~email ~token))
   in
-  match per_pkg 0 with
-  | Error e -> Error e
-  | Ok () ->
-    if not (List.memq client t.clients) then t.clients <- t.clients @ [ client ];
-    Ok ()
+  Result.map
+    (fun () -> if not (List.memq client t.clients) then t.clients <- t.clients @ [ client ])
+    (Array.fold_left per_pkg (Ok ()) t.backend.pkg_ops)
 
 (* ---- fault injection and recovery (DESIGN.md §10) ---- *)
 
@@ -148,7 +225,6 @@ let retry_policy t = t.policy
 
 let c_aborts = Tel.Counter.v Tel.default "faults.rounds_aborted"
 let c_retries = Tel.Counter.v Tel.default "faults.retries"
-let g_consec = Tel.Gauge.v Tel.default "faults.consecutive_aborts"
 let h_recovery = Tel.Histogram.v Tel.default "faults.recovery_seconds"
 let c_injected kind = Tel.Counter.v Tel.default ~labels:[ ("kind", kind) ] "faults.injected"
 
@@ -160,26 +236,28 @@ let record_abort t =
   t.abort_streak <- t.abort_streak + 1;
   if t.abort_streak > t.worst_streak then t.worst_streak <- t.abort_streak;
   (* high-water mark, so the SLO check sees mid-run streaks even when the
-     final round succeeded *)
-  Tel.Gauge.set g_consec (float_of_int t.worst_streak);
+     final round succeeded; registered on the first abort, so a fault-free
+     run skips the rule rather than passing it vacuously *)
+  Tel.Gauge.set (Tel.Gauge.v Tel.default "faults.consecutive_aborts") (float_of_int t.worst_streak);
   Tel.Counter.inc c_aborts
 
 (* Apply this attempt's scheduled faults. Called right after the chain's
    [begin_round] — a crash injected here models a server dying after it
    announced its round key, the case the anytrust abort path exists for. *)
-let inject_faults t chain ~phase ~round ~attempt =
+let inject_faults t (chain : chain) ~phase ~round ~attempt =
   match t.faults with
   | None -> ()
   | Some fv ->
-    for s = 0 to Chain.chain_length chain - 1 do
+    let servers = t.config.Config.chain_length in
+    for s = 0 to servers - 1 do
       if fv.fv_crash_attempts ~round ~server:s >= attempt then begin
-        Chain.crash_server chain ~server:s;
+        chain.crash ~server:s;
         Tel.Counter.inc (c_injected "crash")
       end
     done;
     if attempt = 1 then begin
       let stall = ref 0.0 in
-      for s = 0 to Chain.chain_length chain - 1 do
+      for s = 0 to servers - 1 do
         stall := !stall +. fv.fv_stall_seconds ~round ~server:s
       done;
       if !stall > 0.0 then begin
@@ -212,12 +290,24 @@ let inject_faults t chain ~phase ~round ~attempt =
    stall past the timeout) roll everything per-round back — chain keys,
    crashed servers restarted, client queues and DH state, [cleanup] for
    phase-specific state (PKG round secrets) — then re-run after
-   deterministic backoff, up to the policy's attempt budget. *)
-let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
+   deterministic backoff, up to the policy's attempt budget. Any other
+   exception erases the same round secrets (§4.4), best effort so a failing
+   erasure cannot mask it, and propagates without a retry. *)
+let with_recovery t ~phase ~round ~(chain : chain) ~clients ~cleanup body =
   let policy = t.policy in
   let seed = match t.faults with Some fv -> fv.fv_seed | None -> "faults" in
+  let labels = [ ("phase", phase); ("round", string_of_int round) ] in
   let checkpoints = List.map (fun c -> (c, Client.checkpoint c)) clients in
   let first_abort_clock = ref None in
+  let erase () =
+    List.iter
+      (fun f ->
+        try f ()
+        with e ->
+          Events.log Events.default ~severity:Error ~labels ~detail:(Printexc.to_string e)
+            "round.erase_failed")
+      [ chain.erase; cleanup ]
+  in
   let rec attempt n =
     match body ~after_begin:(fun () -> inject_faults t chain ~phase ~round ~attempt:n) with
     | result ->
@@ -227,23 +317,18 @@ let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
        | Some t0 ->
          let recovery = float_of_int (t.clock - t0) in
          Tel.Histogram.observe h_recovery recovery;
-         Events.log Events.default
-           ~labels:[ ("phase", phase); ("round", string_of_int round) ]
+         Events.log Events.default ~labels
            ~detail:(Printf.sprintf "recovered on attempt %d after %.0f s" n recovery)
            "round.recovered");
       (result, n)
     | exception (Chain.Aborted _ | Stall_timeout) ->
       if !first_abort_clock = None then first_abort_clock := Some t.clock;
       record_abort t;
-      Chain.abort_round chain;
-      for s = 0 to Chain.chain_length chain - 1 do
-        if Chain.server_down chain ~server:s then Chain.restart_server chain ~server:s
-      done;
+      erase ();
+      chain.restart ();
       List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
-      cleanup ();
       if n >= policy.Client.max_attempts then begin
-        Events.log Events.default ~severity:Error
-          ~labels:[ ("phase", phase); ("round", string_of_int round) ]
+        Events.log Events.default ~severity:Error ~labels
           ~detail:(Printf.sprintf "gave up after %d attempts" n)
           "round.failed";
         raise (Round_failed { phase; round; attempts = n })
@@ -256,39 +341,117 @@ let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
         in
         advance_clock t ~seconds:(int_of_float (Float.ceil delay));
         Tel.Counter.inc c_retries;
-        Events.log Events.default ~severity:Warn
-          ~labels:[ ("phase", phase); ("round", string_of_int round) ]
+        Events.log Events.default ~severity:Warn ~labels
           ~detail:(Printf.sprintf "attempt %d aborted; retrying after %.1f s backoff" n delay)
           "round.retry";
         attempt (n + 1)
       end
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      erase ();
+      Events.log Events.default ~severity:Error ~labels ~detail:(Printexc.to_string e)
+        "round.error";
+      Printexc.raise_with_backtrace e bt
   in
   attempt 1
 
-(* Split out the clients the schedule holds offline this round, identified
-   by registration index (stable across the whole run). *)
-let online_clients t ~round clients =
+(* The participants the schedule does not hold offline this round; a
+   client is identified by registration index (stable across the whole
+   run). *)
+let online_clients t ~phase ~round clients =
   match t.faults with
-  | None -> (clients, [])
+  | None -> clients
   | Some fv ->
     let index c =
       let rec go i = function [] -> -1 | x :: rest -> if x == c then i else go (i + 1) rest in
       go 0 t.clients
     in
-    List.partition
-      (fun c ->
-        let i = index c in
-        i < 0 || not (fv.fv_client_offline ~round ~client:i))
-      clients
+    let online, offline =
+      List.partition
+        (fun c ->
+          let i = index c in
+          i < 0 || not (fv.fv_client_offline ~round ~client:i))
+        clients
+    in
+    if offline <> [] then begin
+      Tel.Counter.add (c_injected "offline") (List.length offline);
+      Events.log Events.default
+        ~labels:[ ("phase", phase) ]
+        ~detail:(Printf.sprintf "round %d: %d clients offline" round (List.length offline))
+        "client.offline"
+    end;
+    online
 
-let log_offline ~phase ~round offline =
-  if offline <> [] then begin
-    Tel.Counter.add (c_injected "offline") (List.length offline);
-    Events.log Events.default
-      ~labels:[ ("phase", phase) ]
-      ~detail:(Printf.sprintf "round %d: %d clients offline" round (List.length offline))
-      "client.offline"
-  end
+(* One phase's round over its online participants: log the start, and run
+   [body] under the backend's round scope and the recovery loop. *)
+let run_round t ~phase ~round ~(chain : chain) ~cleanup ?tracer clients body =
+  Events.log Events.default
+    ~labels:[ ("phase", phase) ]
+    ~detail:(Printf.sprintf "round %d, %d clients" round (List.length clients))
+    "round.start";
+  let result =
+    t.backend.with_round tracer ~phase ~round (fun () ->
+        with_recovery t ~phase ~round ~chain ~clients ~cleanup body)
+  in
+  (* Live-telemetry round boundary: count the completed round, refresh the
+     runtime/GC readings, and append one sample to the process-wide
+     time-series ring so a live scrape (or [top]) sees history filling
+     while rounds run. *)
+  Tel.Counter.inc (Tel.Counter.v Tel.default ~labels:[ ("phase", phase) ] "round.completed");
+  Runtime_stats.sample (Runtime_stats.get_default ());
+  Timeseries.record Timeseries.default;
+  result
+
+let num_mailboxes t ~noise_mu ~participants =
+  let expected_real =
+    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
+  in
+  Mailbox.num_mailboxes_for ~expected_real ~noise_mu ~chain_length:t.config.Config.chain_length
+
+let num_af_mailboxes t = num_mailboxes t ~noise_mu:t.config.Config.addfriend_noise_mu
+let num_dial_mailboxes t = num_mailboxes t ~noise_mu:t.config.Config.dialing_noise_mu
+
+(* Mix one batch through the backend's chain, then distribute the last
+   hop's payloads here, whatever the transport. *)
+let mix_round t (chain : chain) ?tracer ~noise_mu ~num_mailboxes ~mpk_agg ~distribute batch =
+  Tel.Span.with_ Tel.default "mix.round" @@ fun () ->
+  Tel.Counter.inc (Tel.Counter.v Tel.default "mix.rounds");
+  let final, noise_added =
+    chain.mix ~noise_mu ~laplace_b:t.config.Config.laplace_b ~num_mailboxes ~mpk_agg ~tracer batch
+  in
+  let published = Chain.publish ?tracer ~num_mailboxes final in
+  let result, dropped = distribute (Array.map fst final) in
+  (result, noise_added, dropped, published)
+
+(* Every client downloads its mailbox and scans it; with a tracer, the
+   recipient-side scan is stitched onto each traced message published to
+   that client's mailbox. *)
+let scan_all ?tracer ~published ~num_mailboxes items ~client ~scan =
+  Tel.Span.with_ Tel.default "client.scan" @@ fun () ->
+  List.concat_map
+    (fun item ->
+      let email = Client.email (client item) in
+      let mb = Mailbox.mailbox_of_identity email ~num_mailboxes in
+      let t0 = Tel.now Tel.default in
+      let evs = scan item in
+      (match tracer with
+      | Some tr ->
+        List.iter
+          (fun (pmb, pctx) ->
+            if pmb = mb then
+              Trace.emit tr (Trace.child tr pctx)
+                ~labels:[ ("client", email) ]
+                ~name:"client.scan" ~ts:t0 ~dur:(Tel.now Tel.default -. t0) ())
+          published
+      | None -> ());
+      List.map (fun ev -> (email, ev)) evs)
+    items
+
+let log_close ~phase ~round ~real_in ~noise_added ~dropped =
+  Events.log Events.default
+    ~labels:[ ("phase", phase) ]
+    ~detail:(Printf.sprintf "round %d: %d in, %d noise, %d dropped" round real_in noise_added dropped)
+    "round.close"
 
 (* ---- add-friend round (Algorithm 1, orchestrated) ---- *)
 
@@ -303,83 +466,39 @@ type af_stats = {
   events : (string * Client.af_event) list;
 }
 
-let aggregate_mpk t ~round =
-  let mpks =
-    Array.to_list t.pkgs
-    |> List.map (fun pkg ->
-           match Pkg.master_public pkg ~round with
-           | Some mpk -> mpk
-           | None -> failwith "Deployment: PKG did not reveal round key")
-  in
-  Ibe.aggregate_public t.params mpks
-
-let num_af_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.addfriend_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let af_noise_body t ~mpk_agg ~mailbox:_ =
-  if t.config.Config.faithful_noise then begin
-    (* genuine IBE encryption of random bytes to a random identity: relies
-       on ciphertext anonymity (§4.3) *)
-    let id = "noise-" ^ Alpenhorn_crypto.Util.to_hex (Drbg.bytes t.rng 8) in
-    let body = Drbg.bytes t.rng (Wire.request_plaintext_size t.params) in
-    Ibe.encrypt t.params t.rng mpk_agg ~id body
-  end
-  else Drbg.bytes t.rng (Wire.request_ciphertext_size t.params)
-
-let g_mailbox_load = Tel.Gauge.v Tel.default "mailbox.max_load"
-
-(* Live-telemetry round boundary: count the completed round, refresh the
-   runtime/GC readings, and append one sample to the process-wide
-   time-series ring so a live scrape (or [top]) sees history filling
-   while rounds run. *)
-let observe_round_close ~phase =
-  Tel.Counter.inc (Tel.Counter.v Tel.default ~labels:[ ("phase", phase) ] "round.completed");
-  Runtime_stats.sample (Runtime_stats.get_default ());
-  Timeseries.record Timeseries.default
-
-(* Record the modeled §6 mailbox-load ceiling input: the fullest mailbox of
-   this round, in entries. *)
-let set_mailbox_load counts =
-  Tel.Gauge.set g_mailbox_load (float_of_int (Array.fold_left Stdlib.max 0 counts))
-
 let run_addfriend_round t ?tracer ?participants () =
   let clients = match participants with Some l -> l | None -> t.clients in
   t.af_round <- t.af_round + 1;
   let round = t.af_round in
-  let clients, offline = online_clients t ~round clients in
-  log_offline ~phase:"addfriend" ~round offline;
-  Events.log Events.default
-    ~labels:[ ("phase", "addfriend") ]
-    ~detail:(Printf.sprintf "round %d, %d clients" round (List.length clients))
-    "round.start";
+  let clients = online_clients t ~phase:"addfriend" ~round clients in
+  let pkgs = t.backend.pkg_ops in
+  let end_round () = Array.iter (fun p -> p.end_round ~round) pkgs in
   let body ~after_begin =
     Tel.Span.with_ Tel.default "round.addfriend" @@ fun () ->
     (* 1. PKGs rotate master keys: commit, then reveal; verify the openings *)
     let mpk_agg =
       Tel.Span.with_ Tel.default "pkg.rotate" @@ fun () ->
-      let commitments = Array.map (fun pkg -> Pkg.begin_round pkg ~round) t.pkgs in
-      Array.iteri
-        (fun i pkg ->
-          match Pkg.reveal_round pkg ~round with
+      let commitments = Array.map (fun p -> p.commit ~round) pkgs in
+      Array.mapi
+        (fun i p ->
+          match p.reveal ~round with
           | Error e -> failwith ("Deployment: reveal failed: " ^ Pkg.error_to_string e)
           | Ok (mpk, opening) ->
             if not (Pkg.verify_commitment t.params ~commitment:commitments.(i) ~mpk ~opening) then
-              failwith "Deployment: PKG commitment mismatch")
-        t.pkgs;
-      aggregate_mpk t ~round
+              failwith "Deployment: PKG commitment mismatch";
+            mpk)
+        pkgs
+      |> Array.to_list |> Ibe.aggregate_public t.params
     in
     let num_mailboxes = num_af_mailboxes t ~participants:(List.length clients) in
     (* 2. every client extracts identity keys and submits one onion *)
-    let server_pks = Chain.begin_round t.af_chain in
+    let server_pks = t.backend.af_chain.begin_round () in
     after_begin ();
     let contexts, batch =
       Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
       let contexts =
-        Client.begin_addfriend_round_batch clients ~round ~now:t.clock ~pkgs:t.pkgs
+        Client.begin_addfriend_round_batch_with clients ~round ~n_pkgs:(Array.length pkgs)
+          ~extract_batch:(fun j requests -> pkgs.(j).extract_batch ~now:t.clock ~round requests)
         |> List.map (fun (c, result) ->
                match result with
                | Error e -> failwith ("Deployment: extraction failed: " ^ Pkg.error_to_string e)
@@ -395,64 +514,42 @@ let run_addfriend_round t ?tracer ?participants () =
       (contexts, batch)
     in
     (* 3. the mixnet chain runs the round *)
-    let mailboxes, stats, published =
-      Chain.run_round_traced t.af_chain ~mode:`AddFriend
-        ~noise_mu:t.config.Config.addfriend_noise_mu ~laplace_b:t.config.Config.laplace_b
-        ~num_mailboxes
-        ~noise_body:(fun ~mailbox -> af_noise_body t ~mpk_agg ~mailbox)
-        ?tracer batch
+    let mailboxes, noise_added, dropped, published =
+      mix_round t t.backend.af_chain ?tracer ~noise_mu:t.config.Config.addfriend_noise_mu
+        ~num_mailboxes ~mpk_agg:(Some mpk_agg)
+        ~distribute:(Mailbox.distribute ~num_mailboxes ~mode:`AddFriend)
+        batch
     in
     let buckets = Mailbox.plain_exn mailboxes in
-    set_mailbox_load (Array.map List.length buckets);
+    (* the modeled §6 mailbox-load ceiling input: the fullest mailbox of
+       this round, in entries *)
+    Tel.Gauge.set
+      (Tel.Gauge.v Tel.default "mailbox.max_load")
+      (float_of_int (Array.fold_left (fun m b -> Stdlib.max m (List.length b)) 0 buckets));
     (* 4-6. every client downloads its mailbox and scans *)
     let events =
-      Tel.Span.with_ Tel.default "client.scan" @@ fun () ->
-      List.concat_map
-        (fun (c, ctx) ->
-          let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-          let t0 = Tel.now Tel.default in
-          let evs = Client.scan_addfriend_mailbox c ctx buckets.(mb) in
-          (match tracer with
-          | Some tr ->
-            (* stitch the recipient-side scan onto each traced message that
-               landed in this client's mailbox *)
-            List.iter
-              (fun (pmb, pctx) ->
-                if pmb = mb then
-                  Trace.emit tr (Trace.child tr pctx)
-                    ~labels:[ ("client", Client.email c) ]
-                    ~name:"client.scan" ~ts:t0 ~dur:(Tel.now Tel.default -. t0) ())
-              published
-          | None -> ());
-          List.map (fun ev -> (Client.email c, ev)) evs)
-        contexts
+      scan_all ?tracer ~published ~num_mailboxes contexts ~client:fst ~scan:(fun (c, ctx) ->
+          Client.scan_addfriend_mailbox c ctx buckets.(Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes))
     in
     (* PKGs erase master secrets *)
-    Array.iter (fun pkg -> Pkg.end_round pkg ~round) t.pkgs;
+    end_round ();
     advance_clock t ~seconds:t.config.Config.addfriend_round_seconds;
-    Events.log Events.default
-      ~labels:[ ("phase", "addfriend") ]
-      ~detail:
-        (Printf.sprintf "round %d: %d in, %d noise, %d dropped" round stats.Chain.real_in
-           stats.Chain.noise_added stats.Chain.dropped)
-      "round.close";
+    log_close ~phase:"addfriend" ~round ~real_in:(Array.length batch) ~noise_added ~dropped;
     {
       af_round = round;
       af_attempts = 1;
-      requests_in = stats.Chain.real_in;
-      noise_added = stats.Chain.noise_added;
-      dropped = stats.Chain.dropped;
+      requests_in = Array.length batch;
+      noise_added;
+      dropped;
       num_mailboxes;
       mailbox_bytes = Mailbox.size_bytes mailboxes;
       events;
     }
   in
   let stats, attempts =
-    with_recovery t ~phase:"addfriend" ~round ~chain:t.af_chain ~clients
-      ~cleanup:(fun () -> Array.iter (fun pkg -> Pkg.end_round pkg ~round) t.pkgs)
-      body
+    run_round t ~phase:"addfriend" ~round ~chain:t.backend.af_chain ~cleanup:end_round ?tracer
+      clients body
   in
-  observe_round_close ~phase:"addfriend";
   { stats with af_attempts = attempts }
 
 (* ---- dialing round (§5) ---- *)
@@ -468,156 +565,8 @@ type dial_stats = {
   calls : (string * Client.dial_event) list;
 }
 
-let num_dial_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.dialing_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let run_dialing_round t ?tracer ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
-  let round = t.dial_round + 1 in
-  let clients, offline = online_clients t ~round clients in
-  log_offline ~phase:"dialing" ~round offline;
-  (* A faulted client coming back online first replays the archived filters
-     of the rounds it slept through (§5.1/§5.3) — before this round runs,
-     so its keywheel is caught up and this round's tokens still reach it.
-     Only under a fault schedule: plain [?participants] churn keeps the
-     explicit [catch_up_client] contract. *)
-  let recovered =
-    if t.faults = None then []
-    else
-      List.concat_map
-        (fun c ->
-          let first = Client.dialing_round c + 1 in
-          if first > t.dial_round then []
-          else begin
-            let through =
-              List.init
-                (t.dial_round - first + 1)
-                (fun i ->
-                  let r = first + i in
-                  match Hashtbl.find_opt t.dial_archive r with
-                  | None -> (r, None)
-                  | Some entry -> (r, Some (archived_lookup entry ~email:(Client.email c))))
-            in
-            List.map (fun ev -> (Client.email c, ev)) (Client.catch_up_dialing c ~through)
-          end)
-        clients
-  in
-  t.dial_round <- round;
-  Events.log Events.default
-    ~labels:[ ("phase", "dialing") ]
-    ~detail:(Printf.sprintf "round %d, %d clients" round (List.length clients))
-    "round.start";
-  let body ~after_begin =
-    Tel.Span.with_ Tel.default "round.dialing" @@ fun () ->
-    let num_shards = t.config.Config.dial_shards in
-    (* Sharded mode (§5.1): the mailbox count must be at least the shard
-       count so every shard covers a non-empty mailbox range. *)
-    let num_mailboxes =
-      Stdlib.max (num_dial_mailboxes t ~participants:(List.length clients)) num_shards
-    in
-    List.iter (fun c -> Client.advance_dialing c ~round) clients;
-    let server_pks = Chain.begin_round t.dial_chain in
-    after_begin ();
-    let batch =
-      Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
-      List.map (fun c -> Client.dialing_submission_traced c ?tracer ~num_mailboxes ~server_pks ())
-        clients
-      |> Array.of_list
-    in
-    let noise_body ~mailbox:_ = Drbg.bytes t.rng Wire.dial_token_size in
-    (* Run the chain, then express the result uniformly: the filter a given
-       client downloads, the per-download sizes, and the archive entry.
-       Both paths share the whole mix pipeline (Chain.run_pipeline), so the
-       dial tokens are byte-identical; only the last-hop grouping differs.
-       Trace stitching stays a per-mailbox concern ([published] is empty in
-       sharded mode). *)
-    let filter_for, sizes, stats, published, archive_entry =
-      if num_shards = 0 then begin
-        let mailboxes, stats, published =
-          Chain.run_round_traced t.dial_chain ~mode:`Dialing
-            ~noise_mu:t.config.Config.dialing_noise_mu ~laplace_b:t.config.Config.laplace_b
-            ~num_mailboxes ~noise_body ?tracer batch
-        in
-        let filters = Mailbox.filters_exn mailboxes in
-        ( (fun email -> filters.(Mailbox.mailbox_of_identity email ~num_mailboxes)),
-          Mailbox.size_bytes mailboxes,
-          stats,
-          published,
-          Per_mailbox (filters, num_mailboxes) )
-      end
-      else begin
-        let shard = Shard.create ~num_shards ~num_mailboxes in
-        let shards, stats =
-          Chain.run_round_sharded t.dial_chain ~mode:`Dialing
-            ~noise_mu:t.config.Config.dialing_noise_mu ~laplace_b:t.config.Config.laplace_b ~shard
-            ~noise_body (Array.map fst batch)
-        in
-        let filters = Mailbox.filter_shards_exn shards in
-        ( (fun email -> filters.(Shard.of_identity shard email)),
-          Mailbox.sharded_size_bytes shards,
-          stats,
-          [],
-          Per_shard (filters, shard) )
-      end
-    in
-    (* archive this round's filters; erase rounds past the retention window.
-       Only a completed round is archived — an aborted attempt never
-       publishes, not even partially. *)
-    Hashtbl.replace t.dial_archive round archive_entry;
-    Hashtbl.remove t.dial_archive (round - t.config.Config.dial_archive_rounds);
-    let calls =
-      Tel.Span.with_ Tel.default "client.scan" @@ fun () ->
-      List.concat_map
-        (fun c ->
-          let mb = Mailbox.mailbox_of_identity (Client.email c) ~num_mailboxes in
-          let t0 = Tel.now Tel.default in
-          let evs = Client.scan_dialing_mailbox c (filter_for (Client.email c)) in
-          (match tracer with
-          | Some tr ->
-            List.iter
-              (fun (pmb, pctx) ->
-                if pmb = mb then
-                  Trace.emit tr (Trace.child tr pctx)
-                    ~labels:[ ("client", Client.email c) ]
-                    ~name:"client.scan" ~ts:t0 ~dur:(Tel.now Tel.default -. t0) ())
-              published
-          | None -> ());
-          List.map (fun ev -> (Client.email c, ev)) evs)
-        clients
-    in
-    advance_clock t ~seconds:t.config.Config.dialing_round_seconds;
-    Events.log Events.default
-      ~labels:[ ("phase", "dialing") ]
-      ~detail:
-        (Printf.sprintf "round %d: %d in, %d noise, %d dropped" round stats.Chain.real_in
-           stats.Chain.noise_added stats.Chain.dropped)
-      "round.close";
-    {
-      dial_round = round;
-      dial_attempts = 1;
-      tokens_in = stats.Chain.real_in;
-      dial_noise_added = stats.Chain.noise_added;
-      dial_dropped = stats.Chain.dropped;
-      dial_num_mailboxes = num_mailboxes;
-      filter_bytes = sizes;
-      calls;
-    }
-  in
-  let stats, attempts =
-    with_recovery t ~phase:"dialing" ~round ~chain:t.dial_chain ~clients ~cleanup:(fun () -> ())
-      body
-  in
-  observe_round_close ~phase:"dialing";
-  { stats with dial_attempts = attempts; calls = recovered @ stats.calls }
-
 let archived_filter (t : t) ~round ~email =
-  match Hashtbl.find_opt t.dial_archive round with
-  | None -> None
-  | Some entry -> Some (archived_lookup entry ~email)
+  Option.map (fun entry -> archived_lookup entry ~email) (Hashtbl.find_opt t.dial_archive round)
 
 let catch_up_client (t : t) client =
   let first = Client.dialing_round client + 1 in
@@ -629,3 +578,84 @@ let catch_up_client (t : t) client =
         (round, archived_filter t ~round ~email:(Client.email client)))
   in
   Client.catch_up_dialing client ~through
+
+let run_dialing_round t ?tracer ?participants () =
+  let clients = match participants with Some l -> l | None -> t.clients in
+  let round = t.dial_round + 1 in
+  let clients = online_clients t ~phase:"dialing" ~round clients in
+  (* A faulted client coming back online first replays the archived filters
+     of the rounds it slept through (§5.1/§5.3) — before this round runs,
+     so its keywheel is caught up and this round's tokens still reach it.
+     Only under a fault schedule: plain [?participants] churn keeps the
+     explicit [catch_up_client] contract. *)
+  let recovered =
+    if t.faults = None then []
+    else
+      List.concat_map
+        (fun c -> List.map (fun ev -> (Client.email c, ev)) (catch_up_client t c))
+        clients
+  in
+  t.dial_round <- round;
+  let body ~after_begin =
+    Tel.Span.with_ Tel.default "round.dialing" @@ fun () ->
+    let num_shards = t.config.Config.dial_shards in
+    (* Sharded mode (§5.1): the mailbox count must be at least the shard
+       count so every shard covers a non-empty mailbox range. *)
+    let num_mailboxes =
+      Stdlib.max (num_dial_mailboxes t ~participants:(List.length clients)) num_shards
+    in
+    List.iter (fun c -> Client.advance_dialing c ~round) clients;
+    let server_pks = t.backend.dial_chain.begin_round () in
+    after_begin ();
+    let batch =
+      Tel.Span.with_ Tel.default "client.submit" @@ fun () ->
+      List.map (fun c -> Client.dialing_submission_traced c ?tracer ~num_mailboxes ~server_pks ())
+        clients
+      |> Array.of_list
+    in
+    (* Express either grouping of the last hop uniformly: the archive entry
+       (whose lookup is the filter a client downloads) and the per-download
+       sizes. The dial tokens are byte-identical either way. *)
+    let distribute payloads =
+      if num_shards = 0 then begin
+        let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode:`Dialing payloads in
+        ( (Per_mailbox (Mailbox.filters_exn mailboxes, num_mailboxes), Mailbox.size_bytes mailboxes),
+          dropped )
+      end
+      else begin
+        let shard = Shard.create ~num_shards ~num_mailboxes in
+        let shards, dropped = Mailbox.distribute_sharded ~shard ~mode:`Dialing payloads in
+        ((Per_shard (Mailbox.filter_shards_exn shards, shard), Mailbox.sharded_size_bytes shards), dropped)
+      end
+    in
+    let (archive_entry, sizes), noise_added, dropped, published =
+      mix_round t t.backend.dial_chain ?tracer ~noise_mu:t.config.Config.dialing_noise_mu
+        ~num_mailboxes ~mpk_agg:None ~distribute batch
+    in
+    (* archive this round's filters; erase rounds past the retention window.
+       Only a completed round is archived — an aborted attempt never
+       publishes, not even partially. *)
+    Hashtbl.replace t.dial_archive round archive_entry;
+    Hashtbl.remove t.dial_archive (round - t.config.Config.dial_archive_rounds);
+    let calls =
+      scan_all ?tracer ~published ~num_mailboxes clients ~client:Fun.id ~scan:(fun c ->
+          Client.scan_dialing_mailbox c (archived_lookup archive_entry ~email:(Client.email c)))
+    in
+    advance_clock t ~seconds:t.config.Config.dialing_round_seconds;
+    log_close ~phase:"dialing" ~round ~real_in:(Array.length batch) ~noise_added ~dropped;
+    {
+      dial_round = round;
+      dial_attempts = 1;
+      tokens_in = Array.length batch;
+      dial_noise_added = noise_added;
+      dial_dropped = dropped;
+      dial_num_mailboxes = num_mailboxes;
+      filter_bytes = sizes;
+      calls;
+    }
+  in
+  let stats, attempts =
+    run_round t ~phase:"dialing" ~round ~chain:t.backend.dial_chain ~cleanup:ignore ?tracer clients
+      body
+  in
+  { stats with dial_attempts = attempts; calls = recovered @ stats.calls }

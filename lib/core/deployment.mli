@@ -1,11 +1,17 @@
-(** In-process Alpenhorn deployment: N PKGs, an add-friend mixnet chain, a
-    dialing mixnet chain, a simulated email provider for registration, and
-    any number of clients — all driven round by round.
+(** The Alpenhorn round engine: N PKGs, an add-friend mixnet chain, a
+    dialing mixnet chain, registration, and any number of clients — all
+    driven round by round.
 
     This is the real protocol end to end (every onion layer, IBE
-    ciphertext, signature and Bloom filter is genuine); only the network is
-    collapsed into function calls. Examples and integration tests run on
-    it; the latency/bandwidth figures of §8 use {!Alpenhorn_sim} instead,
+    ciphertext, signature and Bloom filter is genuine). One engine runs
+    every round whatever carries it: it sequences the round (§4–§5), runs
+    the §10 fault injection and recovery loop, sizes and fills the
+    mailboxes, and emits the round's telemetry. What differs by transport
+    is a {!backend}, a record of closures. {!create} builds the in-process
+    backend over {!Pkg} and {!Alpenhorn_mixnet.Chain} values, where the
+    network collapses into function calls; [Alpenhorn_remote.Net_deployment]
+    builds the one that reaches PKG and mixer processes over framed TCP
+    RPC. The latency/bandwidth figures of §8 use {!Alpenhorn_sim} instead,
     which prices the same message flows with a hardware cost model. *)
 
 module Drbg = Alpenhorn_crypto.Drbg
@@ -16,9 +22,75 @@ module Pkg = Alpenhorn_pkg.Pkg
 type t
 
 val create : config:Config.t -> seed:string -> t
+(** The in-process deployment, with a simulated email provider for
+    registration. *)
+
+(** {1 Backends} *)
+
+type pkg = {
+  public_key : unit -> Bls.public;  (** the PKG's long-term signing key *)
+  register : now:int -> email:string -> pk:Bls.public -> (unit, Pkg.error) result;
+  confirmation_token : email:string -> string option;
+      (** the latest token the PKG's email provider delivered to [email] *)
+  confirm : now:int -> email:string -> token:string -> (unit, Pkg.error) result;
+  commit : round:int -> string;  (** {!Pkg.begin_round} *)
+  reveal : round:int -> (Alpenhorn_ibe.Ibe.master_public * string, Pkg.error) result;
+  extract_batch :
+    now:int ->
+    round:int ->
+    (string * Bls.signature) array ->
+    (Alpenhorn_ibe.Ibe.identity_key * Bls.signature, Pkg.error) result array;
+  end_round : round:int -> unit;  (** erase the round's master secret *)
+}
+(** One PKG as the engine reaches it. *)
+
+type chain = {
+  begin_round : unit -> Alpenhorn_dh.Dh.public list;
+      (** every server announces a fresh round key; chain order *)
+  mix :
+    noise_mu:float ->
+    laplace_b:float ->
+    num_mailboxes:int ->
+    mpk_agg:Alpenhorn_ibe.Ibe.master_public option ->
+    tracer:Alpenhorn_telemetry.Trace.t option ->
+    (string * Alpenhorn_telemetry.Trace.ctx option) array ->
+    (string * Alpenhorn_telemetry.Trace.ctx option) array * int;
+      (** Every hop in order, then erasure of the round keys: the last
+          hop's payloads and the noise added. [mpk_agg] is [Some] for
+          add-friend rounds (request-sized noise, IBE-encrypted under it
+          when [Config.faithful_noise]) and [None] for dialing. Raises
+          {!Alpenhorn_mixnet.Chain.Aborted} when a server is down. *)
+  erase : unit -> unit;  (** erase every live server's round key *)
+  crash : server:int -> unit;  (** take the server at this position down *)
+  restart : unit -> unit;  (** bring every crashed server back *)
+}
+(** One mixnet chain as the engine reaches it. *)
+
+type backend = {
+  pkg_ops : pkg array;  (** [Config.n_pkgs] entries *)
+  af_chain : chain;
+  dial_chain : chain;
+  with_round : 'a. Alpenhorn_telemetry.Trace.t option -> phase:string -> round:int -> (unit -> 'a) -> 'a;
+      (** scope of one round, retries included, given the round's tracer *)
+  close : unit -> unit;  (** release transport resources *)
+}
+
+val of_backend : config:Config.t -> seed:string -> backend -> t
+(** An engine over another transport. Clients derive from [seed] exactly
+    as under {!create}, so both produce the same client-visible results.
+    @raise Invalid_argument on a bad config. *)
+
+val close : t -> unit
+(** The backend's [close]; nothing to release in-process. *)
+
+(** {1 Deployment state} *)
+
 val config : t -> Config.t
 val params : t -> Params.t
+
 val pkgs : t -> Pkg.t array
+(** The in-process PKGs; empty over another backend. *)
+
 val pkg_public_keys : t -> Bls.public list
 val now : t -> int
 val advance_clock : t -> seconds:int -> unit
@@ -33,7 +105,7 @@ val register : t -> Client.t -> (unit, Pkg.error) result
     (§4.6). *)
 
 val inbox : t -> email:string -> (int * string) list
-(** Tokens the simulated email provider delivered to [email]:
+(** Tokens the simulated email provider of {!create} delivered to [email]:
     (pkg index, token) pairs, most recent first. For compromise tests. *)
 
 (** {1 Fault injection and recovery (DESIGN.md §10)} *)
@@ -63,7 +135,11 @@ val set_faults : t -> fault_view option -> unit
     the server-dies-mid-round case the anytrust abort path (§4.5) exists
     for. An aborted round rolls every participant back and re-runs after
     deterministic exponential backoff (clock time, {!advance_clock});
-    aborts, retries and recovery time land in the [faults.*] metrics. *)
+    aborts, retries and recovery time land in the [faults.*] metrics.
+    Any other exception from a round body (a participant whose extraction
+    fails, a PKG that stops answering) erases the round's secrets — PKG
+    master secrets and chain round keys (§4.4) — and propagates without a
+    retry; one failing participant sinks the round (DESIGN.md §10). *)
 
 val set_retry_policy : t -> Client.retry_policy -> unit
 val retry_policy : t -> Client.retry_policy
@@ -90,8 +166,11 @@ val run_addfriend_round :
     With [?tracer], sampled real submissions get stitched causal traces
     (client.submit → per-server mix.hop → mailbox.publish → client.scan);
     trace contexts ride out-of-band and the wire bytes are unchanged
-    (DESIGN.md §9). The round also logs [round.start]/[round.close] events
-    and sets the [mailbox.max_load] gauge for the SLO engine.
+    (DESIGN.md §9); a backend may add its own round-scoped tracing. The
+    round also logs [round.start]/[round.close] events, runs under a
+    [round.addfriend] span, counts [round.completed{phase}], records a
+    time-series sample and sets the [mailbox.max_load] gauge for the SLO
+    engine.
 
     Under a fault schedule ({!set_faults}) the round may abort and re-run;
     [af_attempts] reports how many tries it took.

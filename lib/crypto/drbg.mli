@@ -21,7 +21,6 @@ val byte : t -> int
 val int : t -> int -> int
 (** [int t bound] uniform in [\[0, bound)] via rejection sampling. *)
 
-val int64 : t -> int64
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 

@@ -7,11 +7,5 @@
 val hmac_sha256 : key:string -> string -> string
 (** 32-byte tag. *)
 
-val hkdf_extract : salt:string -> ikm:string -> string
-(** 32-byte pseudorandom key. *)
-
-val hkdf_expand : prk:string -> info:string -> len:int -> string
-(** [len] bytes of output keying material, [len <= 255 * 32]. *)
-
 val hkdf : ?salt:string -> info:string -> len:int -> string -> string
 (** [hkdf ~info ~len ikm]: extract-then-expand convenience wrapper. *)

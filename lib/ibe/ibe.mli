@@ -25,8 +25,6 @@ type identity_key = Curve.point
 val setup : Params.t -> Drbg.t -> master_secret * master_public
 (** One PKG's master keypair: [s ∈ Z_q*], [s·g]. *)
 
-val master_public_of_secret : Params.t -> master_secret -> master_public
-
 val extract : Params.t -> master_secret -> string -> identity_key
 (** [extract params msk id] = [s·H1(id)], the identity private key. *)
 

@@ -52,12 +52,9 @@ let round_pks t =
          | Some pk -> pk
          | None -> invalid_arg "Chain.round_pks: round not started")
 
-(* The mix pipeline shared by the unsharded and sharded round runners:
-   abort checks, the per-hop unwrap/noise/shuffle passes, key erasure, and
-   the traced-publish bookkeeping. Distribution into mailboxes (or shards)
-   happens on the result, so both runners emit byte-identical final
-   payloads for the same inputs. *)
-let run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
+(* The mix pipeline: abort checks, the per-hop unwrap/noise/shuffle passes
+   and key erasure. Each payload keeps its out-of-band trace context. *)
+let mix t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
   let n = Array.length t.servers in
   (* Anytrust: one dead server kills the round. Abort cleanly — every
      per-round key is erased, nothing reaches a mailbox (no partial
@@ -95,51 +92,39 @@ let run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch
     current := out
   done;
   Array.iter Server.end_round t.servers;
-  (* A traced payload that survived the whole chain lands in a mailbox:
-     record the publish hop and hand back (mailbox, ctx) so the caller
-     can stitch the recipient's scan onto the same trace. *)
-  let published =
-    match tracer with
-    | None -> []
-    | Some tr ->
-      Array.to_list !current
-      |> List.filter_map (fun (payload, ctx) ->
-             match ctx with
-             | None -> None
-             | Some c -> (
-               match Payload.decode payload with
-               | Some (mb, _) when mb >= 0 && mb < num_mailboxes ->
-                 let child = Trace.child tr c in
-                 let now = Tel.now Tel.default in
-                 Trace.emit tr child
-                   ~labels:[ ("mailbox", string_of_int mb) ]
-                   ~name:"mailbox.publish" ~ts:now ~dur:0.0 ();
-                 Some (mb, child)
-               | Some _ | None -> None))
-  in
-  (Array.map fst !current, !total_noise, published)
+  (!current, !total_noise)
+
+(* A traced payload that survived the whole chain lands in a mailbox:
+   record the publish hop and hand back (mailbox, ctx) so the caller can
+   stitch the recipient's scan onto the same trace. *)
+let publish ?tracer ~num_mailboxes final =
+  match tracer with
+  | None -> []
+  | Some tr ->
+    Array.to_list final
+    |> List.filter_map (fun (payload, ctx) ->
+           match ctx with
+           | None -> None
+           | Some c -> (
+             match Payload.decode payload with
+             | Some (mb, _) when mb >= 0 && mb < num_mailboxes ->
+               let child = Trace.child tr c in
+               let now = Tel.now Tel.default in
+               Trace.emit tr child
+                 ~labels:[ ("mailbox", string_of_int mb) ]
+                 ~name:"mailbox.publish" ~ts:now ~dur:0.0 ();
+               Some (mb, child)
+             | Some _ | None -> None))
 
 let run_round_traced t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch =
   Tel.Span.with_ Tel.default "mix.round" (fun () ->
       Tel.Counter.inc (Tel.Counter.v Tel.default "mix.rounds");
-      let final, noise_added, published =
-        run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch
-      in
-      let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode final in
+      let final, noise_added = mix t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body ?tracer batch in
+      let published = publish ?tracer ~num_mailboxes final in
+      let mailboxes, dropped = Mailbox.distribute ~num_mailboxes ~mode (Array.map fst final) in
       ( mailboxes,
         { real_in = Array.length batch; noise_added; dropped; num_mailboxes },
         published ))
-
-let run_round_sharded t ~mode ~noise_mu ~laplace_b ~shard ~noise_body batch =
-  Tel.Span.with_ Tel.default "mix.round" (fun () ->
-      Tel.Counter.inc (Tel.Counter.v Tel.default "mix.rounds");
-      let num_mailboxes = Shard.num_mailboxes shard in
-      let final, noise_added, _ =
-        run_pipeline t ~noise_mu ~laplace_b ~num_mailboxes ~noise_body
-          (Array.map (fun onion -> (onion, None)) batch)
-      in
-      let shards, dropped = Mailbox.distribute_sharded ~shard ~mode final in
-      (shards, { real_in = Array.length batch; noise_added; dropped; num_mailboxes }))
 
 let run_round t ~mode ~noise_mu ~laplace_b ~num_mailboxes ~noise_body batch =
   let mailboxes, stats, _ =

@@ -1,4 +1,4 @@
-(** Whole-chain round orchestration: announce keys, run every server's
+(** An in-process mixnet chain: announce keys, run every server's
     unwrap/noise/shuffle pass in order, distribute into mailboxes.
 
     This is the in-process deployment used by examples, tests and
@@ -18,12 +18,13 @@ type stats = {
 }
 
 exception Aborted of { server : int }
-(** Raised by {!run_round} / {!run_round_traced} when a server is down:
+(** Raised by {!mix} when a server is down:
     the anytrust design (§4.5) cannot complete a round without every
     server, so the round aborts {e cleanly} — all per-round keys erased,
     no mailbox published (not even partially), a severity-[Error]
     [mix.round_abort] event logged — and the caller re-runs it after
-    backoff ({!Alpenhorn_core.Deployment} owns that retry loop). *)
+    backoff ({!Alpenhorn_core.Deployment} owns that retry loop). A remote
+    chain raises it too, when a mixer process stops answering. *)
 
 val create : Params.t -> rng:Drbg.t -> chain_length:int -> t
 val chain_length : t -> int
@@ -46,7 +47,29 @@ val begin_round : t -> Alpenhorn_dh.Dh.public list
 (** Rotate every server's round key; returns the public keys, in chain
     order, for clients to onion-wrap against. *)
 
-val round_pks : t -> Alpenhorn_dh.Dh.public list
+val mix :
+  t ->
+  noise_mu:float ->
+  laplace_b:float ->
+  num_mailboxes:int ->
+  noise_body:Server.noise_body ->
+  ?tracer:Alpenhorn_telemetry.Trace.t ->
+  (string * Alpenhorn_telemetry.Trace.ctx option) array ->
+  (string * Alpenhorn_telemetry.Trace.ctx option) array * int
+(** Every server's unwrap/noise/shuffle pass in chain order, then erasure
+    of all round keys. Returns the last hop's payloads, each with its
+    out-of-band trace context (see {!Server.process_traced}), and the
+    total noise added. Distribution is left to the caller.
+    @raise Aborted when any server is down. *)
+
+val publish :
+  ?tracer:Alpenhorn_telemetry.Trace.t ->
+  num_mailboxes:int ->
+  (string * Alpenhorn_telemetry.Trace.ctx option) array ->
+  (int * Alpenhorn_telemetry.Trace.ctx) list
+(** Emit a [mailbox.publish] span for every traced payload of {!mix}'s
+    output that addresses a mailbox, returning [(mailbox, ctx)] pairs whose
+    [ctx] is that span — parent for the recipient's [client.scan]. *)
 
 val run_round :
   t ->
@@ -57,23 +80,7 @@ val run_round :
   noise_body:Server.noise_body ->
   string array ->
   Mailbox.t * stats
-(** Process one batch end-to-end and erase all round keys.
-    @raise Aborted when any server is down. *)
-
-val run_round_sharded :
-  t ->
-  mode:[ `AddFriend | `Dialing ] ->
-  noise_mu:float ->
-  laplace_b:float ->
-  shard:Shard.t ->
-  noise_body:Server.noise_body ->
-  string array ->
-  Mailbox.sharded * stats
-(** Like {!run_round} but the last hop distributes into contiguous
-    mailbox-range shards ({!Mailbox.distribute_sharded}, §5.1) instead of
-    individual mailboxes. Shares the entire mix pipeline with
-    {!run_round}, so the final payloads — and therefore the dial tokens —
-    are byte-identical to the unsharded path on the same inputs.
+(** {!mix} one batch end-to-end and distribute it into mailboxes.
     @raise Aborted when any server is down. *)
 
 val run_round_traced :
@@ -87,7 +94,5 @@ val run_round_traced :
   (string * Alpenhorn_telemetry.Trace.ctx option) array ->
   Mailbox.t * stats * (int * Alpenhorn_telemetry.Trace.ctx) list
 (** Like {!run_round} but each submission carries an optional out-of-band
-    trace context (see {!Server.process_traced}; contexts never touch the
-    wire). Returns additionally the traced payloads that survived to a
-    mailbox, as [(mailbox, ctx)] pairs whose [ctx] is the [mailbox.publish]
-    span — parent for the recipient's [client.scan]. *)
+    trace context (contexts never touch the wire). Returns additionally
+    the {!publish}ed traced payloads. *)

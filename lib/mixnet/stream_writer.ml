@@ -22,7 +22,6 @@ let create ?(capacity = default_capacity) sink =
 
 let capacity t = Bytes.length t.buf
 let written t = t.written
-let buffered t = t.fill
 let peak_buffered t = t.peak
 
 let flush t =

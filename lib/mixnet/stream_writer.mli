@@ -29,10 +29,6 @@ val write : t -> string -> unit
 (** Append [s], flushing to the sink whenever the buffer fills; input
     larger than the capacity is cut into capacity-sized flushes. *)
 
-val write_sub : t -> string -> int -> int -> unit
-(** [write_sub t s pos len] appends the slice [s[pos, pos+len)].
-    @raise Invalid_argument on out-of-bounds slices. *)
-
 val write_record : t -> string -> unit
 (** Append a u32be length prefix followed by the body. *)
 
@@ -42,11 +38,9 @@ val flush : t -> unit
 val written : t -> int
 (** Total bytes handed to the sink so far (excludes still-buffered bytes). *)
 
-val buffered : t -> int
-(** Bytes currently buffered, awaiting flush. *)
-
 val peak_buffered : t -> int
-(** High-water mark of {!buffered} — always [<= capacity]. *)
+(** High-water mark of the bytes buffered awaiting flush — always
+    [<= capacity]. *)
 
 val iter_records : string -> (string -> unit) -> bool
 (** Decode a concatenation of {!write_record} frames, calling [f] per body

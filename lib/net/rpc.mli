@@ -27,8 +27,6 @@ val error_tag : int
 (** 0xff — response tag for handler failures; the payload is the error
     message. *)
 
-val error_frame : string -> Framing.frame
-
 module Server : sig
   type t
 

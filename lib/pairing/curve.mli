@@ -23,11 +23,6 @@ val mul : Field.t -> Bigint.t -> point -> point
     coordinates on the fixed-limb Montgomery kernel, one field inversion
     total (the hot path of IBE, BLS and DH). *)
 
-val mul_batch : Field.t -> (Bigint.t * point) list -> point list
-(** [mul_batch f \[(k1,p1); …\]] is [\[k1·p1; …\]] — independent scalar
-    multiplications sharing a single field inversion for all the
-    Jacobian→affine conversions (Montgomery's batch-inversion trick).
-    @raise Invalid_argument on negative scalars. *)
 
 val msm : Field.t -> (Bigint.t * point) list -> point
 (** [msm f \[(k1,p1); …\]] is [Σ ki·pi], sharing one doubling chain and
@@ -41,13 +36,9 @@ val msm_batch : Field.t -> (Bigint.t * point) list list -> point list
     groups' affine conversions.
     @raise Invalid_argument on negative scalars. *)
 
-val mul_jacobian : Field.t -> Bigint.t -> point -> point
-(** Reference double-and-add over Bigint Jacobian coordinates (the
-    pre-Montgomery hot path, kept for cross-validation). *)
-
 val mul_affine : Field.t -> Bigint.t -> point -> point
 (** Reference ladder over affine operations (one inversion per step);
-    property tests check [mul] and [mul_jacobian] against it. *)
+    property tests check [mul] against it. *)
 
 (** Precomputed tables for long-lived base points (the generator, PKG
     master keys): [mul] over a table costs ~one point addition per

@@ -37,9 +37,6 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val default_lockout : int
-(** 30 days, in seconds. *)
-
 val create :
   Params.t ->
   rng:Drbg.t ->
@@ -47,6 +44,7 @@ val create :
   send_email:(to_:string -> token:string -> unit) ->
   unit ->
   t
+(** [lockout] defaults to 30 days, in seconds (§4.6). *)
 
 val long_term_public : t -> Bls.public
 (** The PKG's signing key, assumed pre-distributed to all clients (§3.3). *)

@@ -1,38 +1,27 @@
-(* Network-backed deployment orchestrator: the round sequencing of
-   [Alpenhorn_core.Deployment], with the PKGs and mixnet servers reached
-   over framed TCP RPC instead of function calls. Clients live in this
-   process (the client library is transport-agnostic); the orchestrator
-   plays the role [Chain.run_round] plays in-process — it threads the
-   batch through the mixer processes hop by hop and distributes the final
-   payloads into mailboxes locally.
+(* The RPC backend of the round engine: [Alpenhorn_core.Deployment] runs
+   the rounds; this module reaches the PKGs and mixnet servers over framed
+   TCP RPC instead of function calls, keeps the connection cache, and kills
+   and respawns mixer processes for the fault schedule.
 
-   Determinism: created from the same seed, this deployment and the
-   in-process one produce the same client-visible protocol results (events
-   and session keys) — server processes derive their DRBGs along the same
-   paths ([Servers]), clients are derived identically here, and the
-   recovery loop mirrors [Deployment.with_recovery] step for step
-   (including backoff arithmetic on the logical clock), so client RNG
-   consumption matches even across aborted attempts. Wire-level bytes
-   (noise, round keys after a process respawn) legitimately differ.
+   Determinism: server processes derive their DRBGs along the paths the
+   in-process backend uses ([Servers]) and the engine derives clients from
+   the same seed, so both deployments produce the same client-visible
+   results (events and session keys). Wire-level bytes (noise, round keys
+   after a process respawn) legitimately differ.
 
-   Faults: the same [Deployment.fault_view] schedule drives real process
-   kills here — a crash entry SIGKILLs the mixer (via the harness's [kill]
+   Faults: a crash entry SIGKILLs the mixer (via the harness's [kill]
    callback) and recovery respawns it ([restart]). The anytrust abort is
    detected as a transport failure: a dead mixer fails the pre-processing
-   ping (mirroring [Chain.run_round]'s up-front down-check, so no mixer
-   processes a batch on an aborted attempt) or a mid-pipeline call. *)
+   ping (as [Chain.mix] checks every server before the first hop, so no
+   mixer processes a batch on an aborted attempt) or a mid-pipeline call. *)
 
-module Drbg = Alpenhorn_crypto.Drbg
 module Params = Alpenhorn_pairing.Params
-module Bls = Alpenhorn_bls.Bls
 module Ibe = Alpenhorn_ibe.Ibe
-module Pkg = Alpenhorn_pkg.Pkg
 module Config = Alpenhorn_core.Config
 module Client = Alpenhorn_core.Client
 module Deployment = Alpenhorn_core.Deployment
-module Wire = Alpenhorn_core.Wire
-module Mailbox = Alpenhorn_mixnet.Mailbox
-module Bloom = Alpenhorn_bloom.Bloom
+module Chain = Alpenhorn_mixnet.Chain
+module Pkg = Alpenhorn_pkg.Pkg
 module Rpc = Alpenhorn_net.Rpc
 module Events = Alpenhorn_telemetry.Events
 module Tel = Alpenhorn_telemetry.Telemetry
@@ -46,67 +35,16 @@ type mixer = {
   restart : unit -> endpoint;
 }
 
-type t = {
-  config : Config.t;
+type t = Deployment.t
+
+type state = {
   params : Params.t;
-  rng : Drbg.t; (* deployment root; only pure derivations are taken here *)
-  pkg_eps : endpoint array;
-  mixers : mixer array;
   conns : (string, Rpc.Client.t) Hashtbl.t;
   call_timeout : float;
-  dial_archive : (int, Bloom.t array * int) Hashtbl.t;
+  mixers : mixer array;
   killed : bool array;
-  mutable clients : Client.t list;
-  mutable af_round : int;
-  mutable dial_round : int;
-  mutable clock : int;
-  mutable faults : Deployment.fault_view option;
-  mutable policy : Client.retry_policy;
-  mutable tracer : Trace.t option;
-  mutable round_ctx : Trace.ctx option; (* root ctx of the round in flight *)
+  mutable trace : (Trace.t * Trace.ctx) option; (* the round in flight *)
 }
-
-exception Aborted of int
-exception Stall_timeout
-
-let create ?(call_timeout = 10.0) ~config ~seed ~pkgs ~mixers () =
-  (match Config.validate config with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Net_deployment.create: " ^ m));
-  if Array.length pkgs <> config.Config.n_pkgs then
-    invalid_arg "Net_deployment.create: pkg endpoint count <> n_pkgs";
-  if Array.length mixers <> config.Config.chain_length then
-    invalid_arg "Net_deployment.create: mixer count <> chain_length";
-  {
-    config;
-    params = Config.params config;
-    rng = Drbg.create ~seed:("deployment" ^ seed);
-    pkg_eps = pkgs;
-    mixers;
-    conns = Hashtbl.create 8;
-    call_timeout;
-    dial_archive = Hashtbl.create 16;
-    killed = Array.make (Array.length mixers) false;
-    clients = [];
-    af_round = 0;
-    dial_round = 0;
-    clock = 0;
-    faults = None;
-    policy = Client.default_retry_policy;
-    tracer = None;
-    round_ctx = None;
-  }
-
-let config t = t.config
-let params t = t.params
-let now t = t.clock
-let advance_clock t ~seconds = t.clock <- t.clock + seconds
-let addfriend_round_number t = t.af_round
-let dialing_round_number t = t.dial_round
-let set_faults t fv = t.faults <- fv
-let set_retry_policy t p = t.policy <- p
-let retry_policy t = t.policy
-let set_tracer t tr = t.tracer <- tr
 
 (* ---- cross-process trace propagation (DESIGN.md §14) ----
 
@@ -119,476 +57,213 @@ let set_tracer t tr = t.tracer <- tr
    Contexts never touch protocol payloads — only the RPC envelope — so
    onions and mailbox entries stay byte-identical (§9 invariant). *)
 
-let traced_rpc t ~peer c f =
-  match (t.tracer, t.round_ctx) with
-  | Some tr, Some ctx ->
+let traced_rpc st ~peer c f =
+  match st.trace with
+  | Some (tr, ctx) ->
     let call_ctx = Trace.child tr ctx in
-    let wire_ctx = Trace.child tr call_ctx in
-    Rpc.Client.set_trace c (Some (Trace.labels_of wire_ctx));
+    Rpc.Client.set_trace c (Some (Trace.labels_of (Trace.child tr call_ctx)));
     let reg = Trace.registry tr in
     let t0 = Tel.now reg in
-    let finish () =
-      Trace.emit tr call_ctx
-        ~labels:[ ("peer", peer) ]
-        ~name:"rpc.call" ~ts:t0
-        ~dur:(Tel.now reg -. t0)
-        ()
-    in
-    (match f c with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e)
-  | _ -> f c
-
-(* A child span of the round for orchestrator-local work (mailbox
-   distribution). *)
-let traced_local t ~name f =
-  match (t.tracer, t.round_ctx) with
-  | Some tr, Some ctx -> Trace.with_ tr (Trace.child tr ctx) name f
-  | _ -> f ()
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.emit tr call_ctx ~labels:[ ("peer", peer) ] ~name:"rpc.call" ~ts:t0
+          ~dur:(Tel.now reg -. t0) ())
+      (fun () -> f c)
+  | None -> f c
 
 (* The per-round root span: sample one context for the whole round
    (retries included) and run [f] under it as "net.round". *)
-let with_round_trace t ~phase ~round f =
-  match t.tracer with
+let with_round st tracer ~phase ~round f =
+  match Option.bind tracer Trace.sample with
   | None -> f ()
-  | Some tr ->
-    let ctx = Trace.sample tr in
-    t.round_ctx <- ctx;
+  | Some ctx ->
+    let tr = Option.get tracer in
+    st.trace <- Some (tr, ctx);
     Fun.protect
-      ~finally:(fun () -> t.round_ctx <- None)
+      ~finally:(fun () -> st.trace <- None)
       (fun () ->
-        match ctx with
-        | None -> f ()
-        | Some ctx ->
-          Trace.with_ tr ctx
-            ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-            "net.round" f)
+        Trace.with_ tr ctx ~labels:[ ("phase", phase); ("round", string_of_int round) ] "net.round" f)
 
 (* ---- connection cache ---- *)
 
 let ep_key ep = Printf.sprintf "%s:%d" ep.host ep.port
 
-let drop_conn t ep =
+let drop_conn st ep =
   let key = ep_key ep in
-  match Hashtbl.find_opt t.conns key with
-  | None -> ()
-  | Some conn ->
-    Rpc.Client.close conn;
-    Hashtbl.remove t.conns key
+  Option.iter
+    (fun conn ->
+      Rpc.Client.close conn;
+      Hashtbl.remove st.conns key)
+    (Hashtbl.find_opt st.conns key)
 
-let conn t ep =
+let conn st ep =
   let key = ep_key ep in
-  match Hashtbl.find_opt t.conns key with
+  match Hashtbl.find_opt st.conns key with
   | Some c -> Ok c
-  | None -> (
-    match Rpc.Client.connect ~timeout:t.call_timeout ~host:ep.host ~port:ep.port () with
-    | Ok c ->
-      Hashtbl.replace t.conns key c;
-      Ok c
-    | Error _ as e -> e)
+  | None ->
+    Result.map
+      (fun c ->
+        Hashtbl.replace st.conns key c;
+        c)
+      (Rpc.Client.connect ~timeout:st.call_timeout ~host:ep.host ~port:ep.port ())
 
-let close t =
-  Hashtbl.iter (fun _ c -> Rpc.Client.close c) t.conns;
-  Hashtbl.reset t.conns
+let close_all st =
+  Hashtbl.iter (fun _ c -> Rpc.Client.close c) st.conns;
+  Hashtbl.reset st.conns
 
-(* PKG processes are trusted infrastructure in this harness (the fault
-   grammar targets mixers and clients); a PKG transport failure is fatal. *)
-let pkg_call t i f =
-  let ep = t.pkg_eps.(i) in
-  match conn t ep with
-  | Error m -> failwith (Printf.sprintf "pkg %d: %s" i m)
+(* One RPC to [ep]; a transport failure drops the cached connection and
+   is handed to [fail]. *)
+let call st ep ~peer ~fail f =
+  match conn st ep with
+  | Error m ->
+    drop_conn st ep;
+    fail m
   | Ok c -> (
-    match traced_rpc t ~peer:(Printf.sprintf "pkg-%d" i) c f with
+    match traced_rpc st ~peer c f with
     | Ok v -> v
     | Error m ->
-      drop_conn t ep;
-      failwith (Printf.sprintf "pkg %d: %s" i m))
+      drop_conn st ep;
+      fail m)
 
-(* A mixer transport failure is the anytrust abort signal. *)
-let mixer_call t i f =
-  let ep = t.mixers.(i).ep in
-  match conn t ep with
-  | Error _ ->
-    drop_conn t ep;
-    raise (Aborted i)
-  | Ok c -> (
-    match traced_rpc t ~peer:(Printf.sprintf "mixer-%d" i) c f with
-    | Ok v -> v
-    | Error _ ->
-      drop_conn t ep;
-      raise (Aborted i))
+(* ---- PKGs: trusted infrastructure in this harness (the fault grammar
+   targets mixers and clients); a PKG transport failure is fatal ---- *)
 
-(* ---- clients and registration ---- *)
-
-let pkg_public_keys t =
-  Array.to_list
-    (Array.mapi (fun i _ -> pkg_call t i (fun c -> Proto.pkg_info c ~params:t.params)) t.pkg_eps)
-
-(* Same derivation as [Deployment.new_client]; [Drbg.derive] is pure, so
-   the client stream matches the in-process one byte for byte. *)
-let new_client t ~email ~callbacks =
-  Client.create ~config:t.config
-    ~rng:(Drbg.derive t.rng ("client-" ^ email))
-    ~email ~pkg_public_keys:(pkg_public_keys t) ~callbacks
-
-let register t client =
-  let email = Client.email client in
-  let pk = Client.signing_public client in
-  let rec per_pkg i =
-    if i = Array.length t.pkg_eps then Ok ()
-    else begin
-      match pkg_call t i (fun c -> Proto.pkg_register c ~params:t.params ~now:t.clock ~email ~pk) with
-      | Error e -> Error e
-      | Ok () ->
-        (* the user reads the confirmation email and echoes the token *)
-        let token =
-          match pkg_call t i (fun c -> Proto.pkg_inbox c ~email) with
-          | tok :: _ -> tok
-          | [] -> "" (* no email delivered: confirmation will fail below *)
-        in
-        (match pkg_call t i (fun c -> Proto.pkg_confirm c ~now:t.clock ~email ~token) with
-        | Error e -> Error e
-        | Ok () -> per_pkg (i + 1))
-    end
+let rpc_pkg st i ep =
+  let call f =
+    call st ep ~peer:(Printf.sprintf "pkg-%d" i)
+      ~fail:(fun m -> failwith (Printf.sprintf "pkg %d: %s" i m))
+      f
   in
-  match per_pkg 0 with
-  | Error e -> Error e
-  | Ok () ->
-    if not (List.memq client t.clients) then t.clients <- t.clients @ [ client ];
-    Ok ()
+  let params = st.params in
+  {
+    Deployment.public_key = (fun () -> call (Proto.pkg_info ~params));
+    register = (fun ~now ~email ~pk -> call (Proto.pkg_register ~params ~now ~email ~pk));
+    confirmation_token =
+      (fun ~email -> match call (Proto.pkg_inbox ~email) with tok :: _ -> Some tok | [] -> None);
+    confirm = (fun ~now ~email ~token -> call (Proto.pkg_confirm ~now ~email ~token));
+    commit = (fun ~round -> call (Proto.pkg_begin_round ~round));
+    reveal = (fun ~round -> call (Proto.pkg_reveal ~params ~round));
+    extract_batch =
+      (fun ~now ~round requests ->
+        Array.map
+          (fun (email, signature) -> call (Proto.pkg_extract ~params ~now ~round ~email ~signature))
+          requests);
+    end_round = (fun ~round -> call (Proto.pkg_end_round ~round));
+  }
 
-(* ---- fault injection and recovery (mirrors Deployment) ---- *)
+(* ---- mixers: a transport failure is the anytrust abort signal ---- *)
 
-let kill_mixer t s =
-  if not t.killed.(s) then begin
-    drop_conn t t.mixers.(s).ep;
-    t.mixers.(s).kill ();
-    t.killed.(s) <- true;
+let mixer_call st i f =
+  call st st.mixers.(i).ep ~peer:(Printf.sprintf "mixer-%d" i)
+    ~fail:(fun _ -> raise (Chain.Aborted { server = i }))
+    f
+
+(* Mixer [i] serves position [i] of both chains, so a kill or respawn
+   through either chain is seen by both. *)
+let kill_mixer st s =
+  if not st.killed.(s) then begin
+    drop_conn st st.mixers.(s).ep;
+    st.mixers.(s).kill ();
+    st.killed.(s) <- true;
     Events.log Events.default ~severity:Warn
       ~labels:[ ("server", string_of_int s) ]
       ~detail:"mixer process killed by fault schedule" "net.mixer_killed"
   end
 
-let restart_killed t =
+let restart_killed st =
   Array.iteri
     (fun s killed ->
       if killed then begin
-        t.mixers.(s).ep <- t.mixers.(s).restart ();
-        t.killed.(s) <- false;
+        st.mixers.(s).ep <- st.mixers.(s).restart ();
+        st.killed.(s) <- false;
         Events.log Events.default
           ~labels:[ ("server", string_of_int s) ]
-          ~detail:(Printf.sprintf "mixer respawned on port %d" t.mixers.(s).ep.port)
+          ~detail:(Printf.sprintf "mixer respawned on port %d" st.mixers.(s).ep.port)
           "net.mixer_restarted"
       end)
-    t.killed
+    st.killed
 
-(* Same injection point and stall arithmetic as [Deployment.inject_faults];
-   a crash entry kills the OS process instead of flipping a flag. *)
-let inject_faults t ~round ~attempt =
-  match t.faults with
-  | None -> ()
-  | Some fv ->
-    for s = 0 to Array.length t.mixers - 1 do
-      if fv.Deployment.fv_crash_attempts ~round ~server:s >= attempt then kill_mixer t s
+let rpc_chain st ~faithful_noise chain =
+  let n = Array.length st.mixers in
+  let params = st.params in
+  let pks = ref [||] in
+  let begin_round () =
+    pks := Array.init n (fun i -> mixer_call st i (Proto.mix_new_round ~params ~chain));
+    Array.to_list !pks
+  in
+  (* up-front liveness check, then one [process] RPC per hop threading the
+     batch, then key erasure everywhere *)
+  let mix ~noise_mu ~laplace_b ~num_mailboxes ~mpk_agg ~tracer:_ batch =
+    for i = 0 to n - 1 do
+      if st.killed.(i) then raise (Chain.Aborted { server = i });
+      mixer_call st i Proto.mix_ping
     done;
-    if attempt = 1 then begin
-      let stall = ref 0.0 in
-      for s = 0 to Array.length t.mixers - 1 do
-        stall := !stall +. fv.Deployment.fv_stall_seconds ~round ~server:s
-      done;
-      if !stall > 0.0 then begin
-        let timeout = t.policy.Client.round_timeout in
-        if !stall > timeout then begin
-          advance_clock t ~seconds:(int_of_float (Float.ceil timeout));
-          raise Stall_timeout
-        end
-        else advance_clock t ~seconds:(int_of_float (Float.ceil !stall))
-      end
-    end
-
-(* End-of-round key erasure on every mixer that still answers; a killed
-   process lost its round key with the process — the same forward-secrecy
-   outcome [Chain.abort_round] forces. *)
-let abort_chain t ~chain =
-  Array.iteri
-    (fun s _ ->
-      if not t.killed.(s) then
-        try mixer_call t s (fun c -> Proto.mix_end_round c ~chain) with Aborted _ -> ())
-    t.mixers
-
-let with_recovery t ~phase ~round ~chain ~clients ~cleanup body =
-  let policy = t.policy in
-  let seed = match t.faults with Some fv -> fv.Deployment.fv_seed | None -> "faults" in
-  let checkpoints = List.map (fun c -> (c, Client.checkpoint c)) clients in
-  let rec attempt n =
-    match body ~after_begin:(fun () -> inject_faults t ~round ~attempt:n) with
-    | result -> (result, n)
-    | exception (Aborted _ | Stall_timeout) ->
-      abort_chain t ~chain;
-      restart_killed t;
-      List.iter (fun (c, cp) -> Client.rollback c cp) checkpoints;
-      cleanup ();
-      if n >= policy.Client.max_attempts then
-        raise (Deployment.Round_failed { phase; round; attempts = n })
-      else begin
-        (* identical backoff seed and ceil-to-seconds clock advance as the
-           in-process loop: logical clocks stay in lockstep *)
-        let delay =
-          Client.backoff_delay policy
-            ~seed:(Printf.sprintf "%s:%s:%d" seed phase round)
-            ~attempt:n
-        in
-        advance_clock t ~seconds:(int_of_float (Float.ceil delay));
-        Events.log Events.default ~severity:Warn
-          ~labels:[ ("phase", phase); ("round", string_of_int round) ]
-          ~detail:(Printf.sprintf "attempt %d aborted; retrying after %.1f s backoff" n delay)
-          "round.retry";
-        attempt (n + 1)
-      end
+    let mpk_agg =
+      match mpk_agg with
+      | Some mpk when faithful_noise -> Ibe.master_public_bytes params mpk
+      | Some _ | None -> ""
+    in
+    let total_noise = ref 0 in
+    let current = ref (Array.map fst batch) in
+    for i = 0 to n - 1 do
+      let downstream_pks = Array.to_list (Array.sub !pks (i + 1) (n - i - 1)) in
+      let out, noise =
+        mixer_call st i
+          (Proto.mix_process ~params ~chain ~downstream_pks ~noise_mu ~laplace_b ~num_mailboxes
+             ~mpk_agg ~batch:!current)
+      in
+      total_noise := !total_noise + noise;
+      current := out
+    done;
+    for i = 0 to n - 1 do
+      mixer_call st i (Proto.mix_end_round ~chain)
+    done;
+    (Array.map (fun p -> (p, None)) !current, !total_noise)
   in
-  attempt 1
-
-let online_clients t ~round clients =
-  match t.faults with
-  | None -> (clients, [])
-  | Some fv ->
-    let index c =
-      let rec go i = function [] -> -1 | x :: rest -> if x == c then i else go (i + 1) rest in
-      go 0 t.clients
-    in
-    List.partition
-      (fun c ->
-        let i = index c in
-        i < 0 || not (fv.Deployment.fv_client_offline ~round ~client:i))
-      clients
-
-(* ---- the mixnet round over RPC ---- *)
-
-let begin_chain_round t ~chain =
-  Array.to_list
-    (Array.mapi
-       (fun i _ -> mixer_call t i (fun c -> Proto.mix_new_round c ~params:t.params ~chain))
-       t.mixers)
-
-(* [Chain.run_round]'s processing half, distributed: up-front liveness
-   check (ping), then one [process] RPC per hop threading the batch, then
-   key erasure everywhere, then local mailbox distribution. *)
-let run_chain t ~chain ~mode ~noise_mu ~laplace_b ~num_mailboxes ~mpk_agg ~server_pks batch =
-  let n = Array.length t.mixers in
-  for i = 0 to n - 1 do
-    if t.killed.(i) then raise (Aborted i);
-    mixer_call t i Proto.mix_ping
-  done;
-  let pks = Array.of_list server_pks in
-  let total_noise = ref 0 in
-  let current = ref batch in
-  for i = 0 to n - 1 do
-    let downstream_pks = Array.to_list (Array.sub pks (i + 1) (n - i - 1)) in
-    let out, noise =
-      mixer_call t i (fun c ->
-          Proto.mix_process c ~params:t.params ~chain ~downstream_pks ~noise_mu ~laplace_b
-            ~num_mailboxes ~mpk_agg ~batch:!current)
-    in
-    total_noise := !total_noise + noise;
-    current := out
-  done;
-  Array.iteri
-    (fun i _ -> mixer_call t i (fun c -> Proto.mix_end_round c ~chain))
-    t.mixers;
-  let mailboxes, dropped =
-    traced_local t ~name:"mailbox.publish" (fun () ->
-        Mailbox.distribute ~num_mailboxes ~mode !current)
+  (* a killed process lost its round key with the process — the same
+     forward-secrecy outcome [Chain.abort_round] forces *)
+  let erase () =
+    for i = 0 to n - 1 do
+      if not st.killed.(i) then
+        try mixer_call st i (Proto.mix_end_round ~chain) with Chain.Aborted _ -> ()
+    done
   in
-  (mailboxes, !total_noise, dropped)
+  {
+    Deployment.begin_round;
+    mix;
+    erase;
+    crash = (fun ~server -> kill_mixer st server);
+    restart = (fun () -> restart_killed st);
+  }
 
-(* ---- add-friend round (Algorithm 1 over the wire) ---- *)
-
-let num_af_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.addfriend_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let run_addfriend_round t ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
-  t.af_round <- t.af_round + 1;
-  let round = t.af_round in
-  let clients, _offline = online_clients t ~round clients in
-  let body ~after_begin =
-    (* 1. PKGs rotate master keys: commit, then reveal; verify the openings *)
-    let commitments =
-      Array.mapi (fun i _ -> pkg_call t i (fun c -> Proto.pkg_begin_round c ~round)) t.pkg_eps
-    in
-    let mpks =
-      Array.to_list
-        (Array.mapi
-           (fun i _ ->
-             match pkg_call t i (fun c -> Proto.pkg_reveal c ~params:t.params ~round) with
-             | Error e -> failwith ("Net_deployment: reveal failed: " ^ Pkg.error_to_string e)
-             | Ok (mpk, opening) ->
-               if
-                 not
-                   (Pkg.verify_commitment t.params ~commitment:commitments.(i) ~mpk ~opening)
-               then failwith "Net_deployment: PKG commitment mismatch";
-               mpk)
-           t.pkg_eps)
-    in
-    let mpk_agg = Ibe.aggregate_public t.params mpks in
-    let num_mailboxes = num_af_mailboxes t ~participants:(List.length clients) in
-    (* 2. every client extracts identity keys over RPC and submits one onion *)
-    let server_pks = begin_chain_round t ~chain:Proto.Af in
-    after_begin ();
-    let contexts =
-      List.map
-        (fun cl ->
-          let result =
-            Client.begin_addfriend_round_with cl ~round ~n_pkgs:(Array.length t.pkg_eps)
-              ~extract:(fun i ~email ~signature ->
-                pkg_call t i (fun c ->
-                    Proto.pkg_extract c ~params:t.params ~now:t.clock ~round ~email ~signature))
-          in
-          match result with
-          | Error e -> failwith ("Net_deployment: extraction failed: " ^ Pkg.error_to_string e)
-          | Ok ctx -> (cl, ctx))
-        clients
-    in
-    let batch =
-      Array.of_list
-        (List.map
-           (fun (cl, ctx) ->
-             Client.addfriend_submission cl ctx ~mpk_agg ~num_mailboxes ~server_pks)
-           contexts)
-    in
-    (* 3. the mixer processes run the round *)
-    let mailboxes, noise_added, dropped =
-      run_chain t ~chain:Proto.Af ~mode:`AddFriend ~noise_mu:t.config.Config.addfriend_noise_mu
-        ~laplace_b:t.config.Config.laplace_b ~num_mailboxes
-        ~mpk_agg:(if t.config.Config.faithful_noise then Ibe.master_public_bytes t.params mpk_agg else "")
-        ~server_pks batch
-    in
-    let buckets = Mailbox.plain_exn mailboxes in
-    (* 4-6. every client downloads its mailbox and scans *)
-    let events =
-      List.concat_map
-        (fun (cl, ctx) ->
-          let mb = Mailbox.mailbox_of_identity (Client.email cl) ~num_mailboxes in
-          List.map
-            (fun ev -> (Client.email cl, ev))
-            (Client.scan_addfriend_mailbox cl ctx buckets.(mb)))
-        contexts
-    in
-    (* PKGs erase master secrets *)
-    Array.iteri (fun i _ -> pkg_call t i (fun c -> Proto.pkg_end_round c ~round)) t.pkg_eps;
-    advance_clock t ~seconds:t.config.Config.addfriend_round_seconds;
+let create ?(call_timeout = 10.0) ~config ~seed ~pkgs ~mixers () =
+  if Array.length pkgs <> config.Config.n_pkgs then
+    invalid_arg "Net_deployment.create: pkg endpoint count <> n_pkgs";
+  if Array.length mixers <> config.Config.chain_length then
+    invalid_arg "Net_deployment.create: mixer count <> chain_length";
+  let st =
     {
-      Deployment.af_round = round;
-      af_attempts = 1;
-      requests_in = Array.length batch;
-      noise_added;
-      dropped;
-      num_mailboxes;
-      mailbox_bytes = Mailbox.size_bytes mailboxes;
-      events;
+      params = Config.params config;
+      conns = Hashtbl.create 8;
+      call_timeout;
+      mixers;
+      killed = Array.make (Array.length mixers) false;
+      trace = None;
     }
   in
-  let stats, attempts =
-    with_round_trace t ~phase:"addfriend" ~round (fun () ->
-        with_recovery t ~phase:"addfriend" ~round ~chain:Proto.Af ~clients
-          ~cleanup:(fun () ->
-            Array.iteri (fun i _ -> pkg_call t i (fun c -> Proto.pkg_end_round c ~round)) t.pkg_eps)
-          body)
-  in
-  { stats with Deployment.af_attempts = attempts }
-
-(* ---- dialing round (§5 over the wire) ---- *)
-
-let num_dial_mailboxes t ~participants =
-  let expected_real =
-    int_of_float (Float.round (float_of_int participants *. t.config.Config.active_fraction))
-  in
-  Mailbox.num_mailboxes_for ~expected_real ~noise_mu:t.config.Config.dialing_noise_mu
-    ~chain_length:t.config.Config.chain_length
-
-let run_dialing_round t ?participants () =
-  let clients = match participants with Some l -> l | None -> t.clients in
-  let round = t.dial_round + 1 in
-  let clients, _offline = online_clients t ~round clients in
-  (* returning offline clients replay the archived filters they missed,
-     before this round runs (§5.1/§5.3) — as in [Deployment] *)
-  let recovered =
-    if t.faults = None then []
-    else
-      List.concat_map
-        (fun cl ->
-          let first = Client.dialing_round cl + 1 in
-          if first > t.dial_round then []
-          else begin
-            let through =
-              List.init
-                (t.dial_round - first + 1)
-                (fun i ->
-                  let r = first + i in
-                  match Hashtbl.find_opt t.dial_archive r with
-                  | None -> (r, None)
-                  | Some (filters, k) ->
-                    ( r,
-                      Some filters.(Mailbox.mailbox_of_identity (Client.email cl) ~num_mailboxes:k)
-                    ))
-            in
-            List.map (fun ev -> (Client.email cl, ev)) (Client.catch_up_dialing cl ~through)
-          end)
-        clients
-  in
-  t.dial_round <- round;
-  let body ~after_begin =
-    let num_mailboxes = num_dial_mailboxes t ~participants:(List.length clients) in
-    List.iter (fun cl -> Client.advance_dialing cl ~round) clients;
-    let server_pks = begin_chain_round t ~chain:Proto.Dial in
-    after_begin ();
-    let batch =
-      Array.of_list
-        (List.map (fun cl -> Client.dialing_submission cl ~num_mailboxes ~server_pks) clients)
-    in
-    let mailboxes, noise_added, dropped =
-      run_chain t ~chain:Proto.Dial ~mode:`Dialing ~noise_mu:t.config.Config.dialing_noise_mu
-        ~laplace_b:t.config.Config.laplace_b ~num_mailboxes ~mpk_agg:"" ~server_pks batch
-    in
-    let filters = Mailbox.filters_exn mailboxes in
-    Hashtbl.replace t.dial_archive round (filters, num_mailboxes);
-    Hashtbl.remove t.dial_archive (round - t.config.Config.dial_archive_rounds);
-    let calls =
-      List.concat_map
-        (fun cl ->
-          let mb = Mailbox.mailbox_of_identity (Client.email cl) ~num_mailboxes in
-          List.map (fun ev -> (Client.email cl, ev)) (Client.scan_dialing_mailbox cl filters.(mb)))
-        clients
-    in
-    advance_clock t ~seconds:t.config.Config.dialing_round_seconds;
+  let faithful_noise = config.Config.faithful_noise in
+  Deployment.of_backend ~config ~seed
     {
-      Deployment.dial_round = round;
-      dial_attempts = 1;
-      tokens_in = Array.length batch;
-      dial_noise_added = noise_added;
-      dial_dropped = dropped;
-      dial_num_mailboxes = num_mailboxes;
-      filter_bytes = Mailbox.size_bytes mailboxes;
-      calls;
+      Deployment.pkg_ops = Array.mapi (rpc_pkg st) pkgs;
+      af_chain = rpc_chain st ~faithful_noise Proto.Af;
+      dial_chain = rpc_chain st ~faithful_noise Proto.Dial;
+      with_round = (fun tracer ~phase ~round f -> with_round st tracer ~phase ~round f);
+      close = (fun () -> close_all st);
     }
-  in
-  let stats, attempts =
-    with_round_trace t ~phase:"dialing" ~round (fun () ->
-        with_recovery t ~phase:"dialing" ~round ~chain:Proto.Dial ~clients
-          ~cleanup:(fun () -> ())
-          body)
-  in
-  { stats with Deployment.dial_attempts = attempts; calls = recovered @ stats.Deployment.calls }
 
-let archived_filter t ~round ~email =
-  match Hashtbl.find_opt t.dial_archive round with
-  | None -> None
-  | Some (filters, k) -> Some filters.(Mailbox.mailbox_of_identity email ~num_mailboxes:k)
+let close = Deployment.close
+let new_client = Deployment.new_client
+let register = Deployment.register
+let pkg_public_keys = Deployment.pkg_public_keys
+let run_dialing_round = Deployment.run_dialing_round
+let dialing_round_number = Deployment.dialing_round_number

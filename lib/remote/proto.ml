@@ -220,14 +220,6 @@ let pkg_end_round conn ~round =
 
 (* ---- mixer operations: client side ---- *)
 
-let mix_info conn =
-  no_protocol_error
-  @@ call conn ~tag:tag_mix_info ~payload:""
-       ~read:(fun c ->
-         match (F.get_u32 c, F.get_u32 c) with
-         | Some position, Some chain_length -> Some (position, chain_length)
-         | _ -> None)
-
 let mix_new_round conn ~params ~chain =
   no_protocol_error
   @@ call conn ~tag:tag_mix_new_round

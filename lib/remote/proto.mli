@@ -49,13 +49,9 @@ val tag_name : int -> string
     requests select which. *)
 type chain = Af | Dial
 
-val chain_byte : chain -> int
 val chain_of_byte : int -> chain option
 
 (** {1 Server-side helpers} *)
-
-val pkg_error_bytes : Buffer.t -> Pkg.error -> unit
-val pkg_error_of_cursor : Framing.Fields.cursor -> Pkg.error option
 
 val respond : int -> ((Buffer.t -> unit, Pkg.error) result) -> Framing.frame
 (** Build the [tag]ged response frame: status 0 plus the filled body, or
@@ -94,9 +90,6 @@ val pkg_extract :
 val pkg_end_round : Rpc.Client.t -> round:int -> (unit, string) result
 
 (** {1 Mixer operations (client side)} *)
-
-val mix_info : Rpc.Client.t -> (int * int, string) result
-(** [(position, chain_length)]. *)
 
 val mix_new_round : Rpc.Client.t -> params:Params.t -> chain:chain -> (Dh.public, string) result
 

@@ -56,8 +56,6 @@ let seed t = t.seed
 let to_list t = t.faults
 let is_empty t = t.faults = []
 
-let faults_at t ~round = List.filter (fun f -> f.round = round) t.faults
-
 (* ---- queries (what does round [round] do to server/client X?) ---- *)
 
 let crash_attempts t ~round ~server =

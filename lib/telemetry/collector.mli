@@ -125,6 +125,3 @@ val snapshot_of_json : Telemetry.Json.t -> (Telemetry.Snapshot.t, string) result
 (** Parse a [/metrics.json] document (bare, or wrapped under a
     ["telemetry"] member) back into a snapshot. *)
 
-val merge_snapshots : (string * string * Telemetry.Snapshot.t) list -> Telemetry.Snapshot.t
-(** [(name, role, snapshot)] parts merged under instance labels —
-    {!scrape}'s merge step without the polling. *)

@@ -17,9 +17,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
-
 type event = {
   ts : float;  (** seconds since the registry epoch, on its clock *)
   clock : string;  (** clock kind at logging time ("wall" / "sim") *)
@@ -55,9 +52,6 @@ val to_list : t -> event list
 (** Retained events, oldest first. *)
 
 val clear : t -> unit
-
-val event_to_json : event -> string
-(** One event as a self-contained JSON object (no trailing newline). *)
 
 val to_jsonl : t -> string
 (** JSON-lines: every retained event, oldest first, one object per line.

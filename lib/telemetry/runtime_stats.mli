@@ -23,12 +23,12 @@
       and [runtime.stack_words] track the current heap; a [~full:true]
       sample also walks the heap ([Gc.stat]) for [runtime.live_words] and
       [runtime.free_words].
-    - {b Major-cycle alarm.} {!install} registers a [Gc.create_alarm]
+    - {b Major-cycle alarm.} The sampler registers a [Gc.create_alarm]
       hook; at the end of every major cycle it observes the wall-clock
       interval since the previous cycle end into
       [runtime.gc.major_cycle_seconds] — the cadence of full-heap marking.
-    - {b Pause probe.} Each {!sample} (at most once per
-      [min_probe_interval]) times one forced minor collection —
+    - {b Pause probe.} Each {!sample} (at most once every half second of
+      wall time) times one forced minor collection —
       a genuine stop-the-world pause, merely moved in time — into
       [runtime.gc.pause_seconds], and mirrors the largest observation
       since the last registry reset into the [runtime.gc.max_pause_seconds]
@@ -39,30 +39,22 @@
     Sampling is driven by whoever owns a loop: the metrics listener
     samples on scrape, [Deployment] and [Round_sim] sample at round
     close, and [bench e2e] samples per round so BENCH snapshots carry
-    allocation and pause data. All metrics land in the registry given to
-    {!install}, so they ride the existing exporters, the time-series ring
+    allocation and pause data. All metrics land in
+    {!Telemetry.default}, so they ride the existing exporters, the time-series ring
     and the SLO rules unchanged.
 
     Statistics are per-domain in OCaml 5: [Gc.quick_stat] reports the
-    calling domain's minor counts plus the shared major heap. Install and
-    sample from the orchestrating domain (worker-domain minor allocation
+    calling domain's minor counts plus the shared major heap. Sample from the orchestrating domain (worker-domain minor allocation
     is promoted through the shared major heap, which {e is} visible
     here); the alarm fires on whichever domain ends the major cycle and
     only touches its own atomic. *)
 
 type t
 
-val install : ?registry:Telemetry.registry -> ?min_probe_interval:float -> unit -> t
-(** Register the gauges/counters/histograms (on {!Telemetry.default} by
-    default), take the baseline [Gc.quick_stat], and hook the major-cycle
-    alarm. [min_probe_interval] (seconds of wall time, default [0.5])
-    rate-limits the forced-minor pause probe; [0.] probes on every
-    sample. Multiple installs coexist (each owns its own alarm and
-    baseline). *)
-
 val get_default : unit -> t
-(** The process-wide sampler on {!Telemetry.default}, installed on first
-    use (safe to call from any domain). [Deployment], [Round_sim] and
+(** The process-wide sampler on {!Telemetry.default}: on first use (safe
+    from any domain) it registers the gauges/counters/histograms, takes
+    the baseline [Gc.quick_stat] and hooks the major-cycle alarm. [Deployment], [Round_sim] and
     the metrics endpoint share this instance, so the alarm hook is
     registered exactly once. *)
 
@@ -72,10 +64,6 @@ val sample : ?full:bool -> t -> unit
     for [runtime.live_words]/[runtime.free_words] — noticeably more
     expensive; reserve it for round boundaries. *)
 
-val uninstall : t -> unit
-(** Delete the major-cycle alarm. Idempotent; metrics keep their last
-    values. *)
-
 val max_pause_seconds : t -> float
-(** Largest probed pause since {!install} (not affected by registry
-    resets); [0.] before the first probe. *)
+(** Largest probed pause since the sampler was installed (not affected
+    by registry resets); [0.] before the first probe. *)

@@ -54,7 +54,6 @@ type check = {
 
 type report = { checks : check list; healthy : bool }
 
-val check_rule : Telemetry.Snapshot.t -> rule -> check
 val evaluate : rule list -> Telemetry.Snapshot.t -> report
 
 val default_rules :

@@ -19,9 +19,9 @@
 
     - {!rate}: counter increase per second over the window.
     - {!gauge_stats}: min / max / last of a gauge over the window.
-    - {!hist_window} / {!quantile}: the merged {e delta} histogram of the
-      window (bucket-wise, the increments of each consecutive pair), so
-      p50/p99 describe only observations inside the window.
+    - {!quantile}: over the merged {e delta} histogram of the window
+      (bucket-wise, the increments of each consecutive pair), so p50/p99
+      describe only observations inside the window.
     - {!points}: one value per sample for sparklines — a counter yields
       its per-interval rate, a gauge its level, a histogram its
       per-interval observation count.
@@ -98,13 +98,10 @@ val rate : t -> ?window:float -> string -> float
 val gauge_stats : t -> ?window:float -> string -> (float * float * float) option
 (** [(min, max, last)] of a gauge over the window; [None] if absent. *)
 
-val hist_window : t -> ?window:float -> string -> Telemetry.Histogram.snap
-(** Merged delta histogram of the window ({!Telemetry.Histogram.empty}
-    when absent). Bucket bounds are the shared log-2 layout; [min_v] /
-    [max_v] are bucket-resolution estimates. *)
-
 val quantile : t -> ?window:float -> string -> float -> float
-(** [quantile t name q] over {!hist_window}; [0.] when empty. *)
+(** [quantile t name q] over the window's merged delta histogram (the
+    shared log-2 bucket layout, so a bucket-resolution estimate); [0.]
+    when empty. *)
 
 val points : t -> ?window:float -> string -> (float * float) list
 (** Sparkline series, oldest first (see above for the per-kind value).

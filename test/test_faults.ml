@@ -289,6 +289,28 @@ let deployment_tests =
         ignore (Deployment.run_addfriend_round d ());
         Alcotest.(check bool) "friendship established after recovery" true
           (Client.is_friend bob ~email:"alice@x" && Client.is_friend alice ~email:"bob@x"));
+    Alcotest.test_case "a failing participant still erases the PKG round secrets (§4.4)" `Quick
+      (fun () ->
+        let d = Deployment.create ~config:Config.test ~seed:"fs-erase" in
+        let alice, bob = new_pair d in
+        (* never registered: its extraction fails and sinks the round *)
+        let carol = Deployment.new_client d ~email:"carol@x" ~callbacks:Client.null_callbacks in
+        (match Deployment.run_addfriend_round d ~participants:[ alice; bob; carol ] () with
+        | _ -> Alcotest.fail "round should have failed"
+        | exception Failure _ -> ());
+        let round = Deployment.addfriend_round_number d in
+        Array.iteri
+          (fun i pkg ->
+            match Client.begin_addfriend_round alice ~round ~now:(Deployment.now d) ~pkgs:[| pkg |] with
+            | Error Alpenhorn_pkg.Pkg.Wrong_round -> ()
+            | Ok _ -> Alcotest.failf "pkg %d still holds the round's master secret" i
+            | Error e -> Alcotest.failf "pkg %d: %s" i (Alpenhorn_pkg.Pkg.error_to_string e))
+          (Deployment.pkgs d);
+        Alcotest.(check bool) "the failure is logged" true
+          (List.exists (fun e -> e.Events.name = "round.error") (Events.to_list Events.default));
+        (* the deployment stays usable *)
+        let s = Deployment.run_addfriend_round d ~participants:[ alice; bob ] () in
+        Alcotest.(check int) "next round runs" (round + 1) s.Deployment.af_round);
     Alcotest.test_case "stall within timeout recovers nothing; past it burns an attempt" `Quick
       (fun () ->
         let d = Deployment.create ~config:Config.test ~seed:"chaos-stall" in

@@ -411,101 +411,139 @@ let scenario ~register ~new_client ~af_round ~dial_round =
   let dials = List.init 3 (fun _ -> dial_round ()) in
   (s1, s2, dials)
 
+(* The engine's fault and round telemetry, as (name, value) pairs: the
+   counters from a [Tel.default] snapshot plus the retained
+   [round.recovered] events. *)
+let round_telemetry () =
+  let snap = Tel.Snapshot.take Tel.default in
+  let counter ?labels name =
+    (name, Option.value ~default:0 (Tel.Snapshot.find_counter snap ?labels name))
+  in
+  [
+    counter "faults.rounds_aborted";
+    counter "faults.retries";
+    counter ~labels:[ ("kind", "crash") ] "faults.injected";
+    counter ~labels:[ ("phase", "addfriend") ] "round.completed";
+    counter ~labels:[ ("phase", "dialing") ] "round.completed";
+    ( "round.recovered events",
+      List.length
+        (List.filter
+           (fun e -> e.Alpenhorn_telemetry.Events.name = "round.recovered")
+           (Alpenhorn_telemetry.Events.to_list Alpenhorn_telemetry.Events.default)) );
+  ]
+
+(* Run [f] and return its result with the telemetry deltas it caused. *)
+let with_telemetry_delta f =
+  Alpenhorn_telemetry.Events.clear Alpenhorn_telemetry.Events.default;
+  let before = round_telemetry () in
+  let result = f () in
+  (result, List.map2 (fun (name, a) (_, b) -> (name, b - a)) before (round_telemetry ()))
+
+let killed_mixer config () =
+  let seed = "net-kill" in
+  let pkg_hosted =
+    host (Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:0))
+  in
+  let mixer_at i =
+    host (Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i))
+  in
+  let hosted = Array.init config.Config.chain_length (fun i -> ref (mixer_at i)) in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_hosted pkg_hosted;
+      Array.iter (fun r -> try stop_hosted !r with _ -> ()) hosted)
+    (fun () ->
+      let ep h = { Net_deployment.host = "127.0.0.1"; port = Rpc.Server.port h.srv } in
+      let mixers =
+        Array.init config.Config.chain_length (fun i ->
+            {
+              Net_deployment.ep = ep !(hosted.(i));
+              kill = (fun () -> stop_hosted !(hosted.(i)));
+              restart =
+                (fun () ->
+                  hosted.(i) := mixer_at i;
+                  ep !(hosted.(i)));
+            })
+      in
+      let nd = Net_deployment.create ~config ~seed ~pkgs:[| ep pkg_hosted |] ~mixers () in
+      Fun.protect
+        ~finally:(fun () -> Net_deployment.close nd)
+        (fun () ->
+          Deployment.set_faults nd (Some (faults seed));
+          let (n1, n2, ndials), net_telemetry =
+            with_telemetry_delta (fun () ->
+                scenario
+                  ~register:(fun c ->
+                    match Net_deployment.register nd c with
+                    | Ok () -> ()
+                    | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
+                  ~new_client:(fun email ->
+                    Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
+                  ~af_round:(fun () -> Deployment.run_addfriend_round nd ())
+                  ~dial_round:(fun () -> Net_deployment.run_dialing_round nd ()))
+          in
+          (* the kill really aborted attempt 1 and recovery really ran *)
+          Alcotest.(check int) "af round 1 recovered on attempt 2" 2 n1.Deployment.af_attempts;
+          Alcotest.(check int) "af round 2 clean" 1 n2.Deployment.af_attempts;
+          Alcotest.(check int) "dial round 1 recovered on attempt 2" 2
+            (List.hd ndials).Deployment.dial_attempts;
+          Alcotest.(check bool) "bob accepted alice" true
+            (List.exists
+               (function "bob@x", Client.Friend_request_accepted "alice@x" -> true | _ -> false)
+               n1.Deployment.events);
+          Alcotest.(check bool) "alice confirmed" true
+            (List.exists
+               (function "alice@x", Client.Friend_confirmed "bob@x" -> true | _ -> false)
+               n2.Deployment.events);
+          Alcotest.(check bool) "bob rang" true
+            (List.exists
+               (fun d ->
+                 List.exists
+                   (function
+                     | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } -> true
+                     | _ -> false)
+                   d.Deployment.calls)
+               ndials);
+          (* byte-identical protocol results: replay the scenario
+             in-process under the same seed and fault schedule *)
+          let ip = Deployment.create ~config ~seed in
+          Deployment.set_faults ip (Some (faults seed));
+          let (i1, i2, idials), ip_telemetry =
+            with_telemetry_delta (fun () ->
+                scenario
+                  ~register:(fun c ->
+                    match Deployment.register ip c with
+                    | Ok () -> ()
+                    | Error _ -> Alcotest.fail "in-process register")
+                  ~new_client:(fun email ->
+                    Deployment.new_client ip ~email ~callbacks:Client.null_callbacks)
+                  ~af_round:(fun () -> Deployment.run_addfriend_round ip ())
+                  ~dial_round:(fun () -> Deployment.run_dialing_round ip ()))
+          in
+          Alcotest.(check bool) "af round 1 events identical" true
+            (n1.Deployment.events = i1.Deployment.events);
+          Alcotest.(check bool) "af round 2 events identical" true
+            (n2.Deployment.events = i2.Deployment.events);
+          Alcotest.(check bool) "dial events identical (incl. session keys)" true
+            (List.map (fun d -> d.Deployment.calls) ndials
+            = List.map (fun d -> d.Deployment.calls) idials);
+          Alcotest.(check int) "same af retries" i1.Deployment.af_attempts n1.Deployment.af_attempts;
+          Alcotest.(check (list int)) "same dial retries"
+            (List.map (fun d -> d.Deployment.dial_attempts) idials)
+            (List.map (fun d -> d.Deployment.dial_attempts) ndials);
+          Alcotest.(check (list (array int))) "same dial download sizes"
+            (List.map (fun d -> d.Deployment.filter_bytes) idials)
+            (List.map (fun d -> d.Deployment.filter_bytes) ndials);
+          Alcotest.(check (list (pair string int))) "same fault and round telemetry" ip_telemetry
+            net_telemetry))
+
 let recovery_tests =
   [
-    Alcotest.test_case "killed mixer: recover over sockets, match in-process" `Quick (fun () ->
-        let config = { Config.test with Config.n_pkgs = 1 } in
-        let seed = "net-kill" in
-        let pkg_hosted =
-          host (Servers.Pkg_server.handler (Servers.Pkg_server.create ~config ~seed ~index:0))
-        in
-        let mixer_at i =
-          host (Servers.Mixer_server.handler (Servers.Mixer_server.create ~config ~seed ~position:i))
-        in
-        let hosted = Array.init config.Config.chain_length (fun i -> ref (mixer_at i)) in
-        Fun.protect
-          ~finally:(fun () ->
-            stop_hosted pkg_hosted;
-            Array.iter (fun r -> try stop_hosted !r with _ -> ()) hosted)
-          (fun () ->
-            let ep h = { Net_deployment.host = "127.0.0.1"; port = Rpc.Server.port h.srv } in
-            let mixers =
-              Array.init config.Config.chain_length (fun i ->
-                  {
-                    Net_deployment.ep = ep !(hosted.(i));
-                    kill = (fun () -> stop_hosted !(hosted.(i)));
-                    restart =
-                      (fun () ->
-                        hosted.(i) := mixer_at i;
-                        ep !(hosted.(i)));
-                  })
-            in
-            let nd = Net_deployment.create ~config ~seed ~pkgs:[| ep pkg_hosted |] ~mixers () in
-            Fun.protect
-              ~finally:(fun () -> Net_deployment.close nd)
-              (fun () ->
-                Net_deployment.set_faults nd (Some (faults seed));
-                let n1, n2, ndials =
-                  scenario
-                    ~register:(fun c ->
-                      match Net_deployment.register nd c with
-                      | Ok () -> ()
-                      | Error e -> Alcotest.failf "register: %s" (Alpenhorn_pkg.Pkg.error_to_string e))
-                    ~new_client:(fun email ->
-                      Net_deployment.new_client nd ~email ~callbacks:Client.null_callbacks)
-                    ~af_round:(fun () -> Net_deployment.run_addfriend_round nd ())
-                    ~dial_round:(fun () -> Net_deployment.run_dialing_round nd ())
-                in
-                (* the kill really aborted attempt 1 and recovery really ran *)
-                Alcotest.(check int) "af round 1 recovered on attempt 2" 2 n1.Deployment.af_attempts;
-                Alcotest.(check int) "af round 2 clean" 1 n2.Deployment.af_attempts;
-                Alcotest.(check int) "dial round 1 recovered on attempt 2" 2
-                  (List.hd ndials).Deployment.dial_attempts;
-                Alcotest.(check bool) "bob accepted alice" true
-                  (List.exists
-                     (function "bob@x", Client.Friend_request_accepted "alice@x" -> true | _ -> false)
-                     n1.Deployment.events);
-                Alcotest.(check bool) "alice confirmed" true
-                  (List.exists
-                     (function "alice@x", Client.Friend_confirmed "bob@x" -> true | _ -> false)
-                     n2.Deployment.events);
-                Alcotest.(check bool) "bob rang" true
-                  (List.exists
-                     (fun d ->
-                       List.exists
-                         (function
-                           | "bob@x", Client.Incoming_call { peer = "alice@x"; intent = 1; _ } ->
-                             true
-                           | _ -> false)
-                         d.Deployment.calls)
-                     ndials);
-                (* byte-identical protocol results: replay the scenario
-                   in-process under the same seed and fault schedule *)
-                let ip = Deployment.create ~config ~seed in
-                Deployment.set_faults ip (Some (faults seed));
-                let i1, i2, idials =
-                  scenario
-                    ~register:(fun c ->
-                      match Deployment.register ip c with
-                      | Ok () -> ()
-                      | Error _ -> Alcotest.fail "in-process register")
-                    ~new_client:(fun email ->
-                      Deployment.new_client ip ~email ~callbacks:Client.null_callbacks)
-                    ~af_round:(fun () -> Deployment.run_addfriend_round ip ())
-                    ~dial_round:(fun () -> Deployment.run_dialing_round ip ())
-                in
-                Alcotest.(check bool) "af round 1 events identical" true
-                  (n1.Deployment.events = i1.Deployment.events);
-                Alcotest.(check bool) "af round 2 events identical" true
-                  (n2.Deployment.events = i2.Deployment.events);
-                Alcotest.(check bool) "dial events identical (incl. session keys)" true
-                  (List.map (fun d -> d.Deployment.calls) ndials
-                  = List.map (fun d -> d.Deployment.calls) idials);
-                Alcotest.(check int) "same af retries" i1.Deployment.af_attempts
-                  n1.Deployment.af_attempts;
-                Alcotest.(check (list int)) "same dial retries"
-                  (List.map (fun d -> d.Deployment.dial_attempts) idials)
-                  (List.map (fun d -> d.Deployment.dial_attempts) ndials))));
+    Alcotest.test_case "killed mixer: recover over sockets, match in-process" `Quick
+      (killed_mixer { Config.test with Config.n_pkgs = 1 });
+    Alcotest.test_case "killed mixer, sharded dialing: recover over sockets, match in-process"
+      `Quick
+      (killed_mixer { Config.test with Config.n_pkgs = 1; dial_shards = 2 });
   ]
 
 let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests
