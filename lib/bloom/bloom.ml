@@ -19,6 +19,19 @@ let create_custom ~bits ~hashes =
   if bits <= 0 || hashes <= 0 then invalid_arg "Bloom.create_custom";
   { bits = Bytes.make ((bits + 7) / 8) '\000'; nbits = bits; k = hashes; n = 0 }
 
+let digest_sub buf ~pos ~len =
+  let c = Sha256.init () in
+  Sha256.update c "bloom";
+  Sha256.update_bytes c buf pos len;
+  Sha256.finalize c
+
+let get_bit b i = (Char.code (Bytes.get b (i lsr 3)) lsr (i land 7)) land 1 = 1
+
+let set_bit b i =
+  let byte = Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7)) in
+  Bytes.set b (i lsr 3) (Char.unsafe_chr byte);
+  true
+
 (* Derive the k indices from all four 64-bit words of the digest: start
    at h1 and step by a difference that itself moves by h2, h3, h4 and i
    (enhanced double hashing, Dillinger-Manolios, carried to four terms).
@@ -29,45 +42,37 @@ let create_custom ~bits ~hashes =
    members' sets outright with probability about n/nbits², 2·10⁻⁶ for a
    203-token mailbox, far above the 10⁻¹⁰ target. With four words the
    index set carries nbits⁴ choices, and the final i term keeps the
-   sequence from falling into a short cycle whatever the digest is. *)
-let indices_of_digest t d =
-  let m = t.nbits in
-  let wrap v = if v < m then v else v mod m in
-  let word j = wrap (Util.read_be64 d (8 * j) land max_int) in
-  let x = ref (word 0) and y = ref (word 1) and z = ref (word 2) and w = ref (word 3) in
-  Array.init t.k (fun i ->
-      let idx = !x in
-      x := wrap (!x + !y);
-      y := wrap (!y + !z);
-      z := wrap (!z + !w);
-      w := wrap (!w + i + 1);
-      idx)
+   sequence from falling into a short cycle whatever the digest is.
 
-let indices t elem = indices_of_digest t (Sha256.digest ("bloom" ^ elem))
-
-(* Same digest as [indices], streamed over a slice of a flat buffer: the
-   sharded distribution paths add millions of tokens straight out of one
-   preallocated [Bytes.t] without a substring per token. *)
-let indices_sub t buf ~pos ~len =
-  let c = Sha256.init () in
-  Sha256.update c "bloom";
-  Sha256.update_bytes c buf pos len;
-  indices_of_digest t (Sha256.finalize c)
-
-let set_bit b i = Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
-let get_bit b i = (Char.code (Bytes.get b (i / 8)) lsr (i mod 8)) land 1 = 1
-
-let add t elem =
-  Array.iter (set_bit t.bits) (indices t elem);
-  t.n <- t.n + 1
-
-let mem t elem = Array.for_all (get_bit t.bits) (indices t elem)
+   [walk t d visit] calls [visit bits idx] on the indices in order up to
+   the first [false], and is [true] when every call was. It builds no
+   index array: [mem] stops at the first clear bit. A sum of two reduced
+   terms is below 2·nbits, so one subtraction reduces it. *)
+let walk t d visit =
+  let m = t.nbits and bits = t.bits and k = t.k in
+  let reduce v = if v < m then v else v - m in
+  let word j = (Util.read_be64 d (8 * j) land max_int) mod m in
+  let rec go i x y z w =
+    i = k
+    || visit bits x
+       && go (i + 1) (reduce (x + y)) (reduce (y + z)) (reduce (z + w))
+            (let v = w + i + 1 in if v < m then v else v mod m)
+  in
+  go 0 (word 0) (word 1) (word 2) (word 3)
 
 let add_sub t buf ~pos ~len =
-  Array.iter (set_bit t.bits) (indices_sub t buf ~pos ~len);
+  ignore (walk t (digest_sub buf ~pos ~len) set_bit);
   t.n <- t.n + 1
 
-let mem_sub t buf ~pos ~len = Array.for_all (get_bit t.bits) (indices_sub t buf ~pos ~len)
+let mem_sub t buf ~pos ~len = walk t (digest_sub buf ~pos ~len) get_bit
+let add t elem = add_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
+let mem t elem = mem_sub t (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem)
+
+let indices t elem =
+  let d = digest_sub (Bytes.unsafe_of_string elem) ~pos:0 ~len:(String.length elem) in
+  let out = ref [] in
+  ignore (walk t d (fun _ i -> out := i :: !out; true));
+  Array.of_list (List.rev !out)
 
 let fill_ratio t =
   let set = ref 0 in

@@ -26,12 +26,21 @@ val create_custom : bits:int -> hashes:int -> t
 (** Explicit geometry, for ablations. *)
 
 val add : t -> string -> unit
+
 val mem : t -> string -> bool
+(** Hashes [elem] once (SHA-256 of ["bloom" ^ elem]) and walks the index
+    recurrence up to the first clear bit; builds no index array. *)
+
+val indices : t -> string -> int array
+(** The [num_hashes t] bit positions [add] sets for an element and [mem]
+    tests, in order. Part of the wire format (server and client must
+    agree); [mem t e] is [Array.for_all] of those bits being set. *)
 
 val add_sub : t -> bytes -> pos:int -> len:int -> unit
 (** [add] of the slice [buf[pos, pos+len)], hashed by streaming — no
     substring allocation. Byte-compatible with [add (Bytes.sub_string buf
-    pos len)]; the flat-buffer sharded distribution path at 1M+ tokens. *)
+    pos len)]; the flat-buffer sharded distribution path at 1M+ tokens.
+    @raise Invalid_argument if the slice is not inside [buf]. *)
 
 val mem_sub : t -> bytes -> pos:int -> len:int -> bool
 (** Slice variant of [mem]; see {!add_sub}. *)

@@ -1,10 +1,6 @@
 (* SHA-256 over native ints masked to 32 bits (OCaml ints are 63-bit). *)
 
-let ( &: ) a b = a land b
-let m32 x = x land 0xffffffff
-let ( +: ) a b = m32 (a + b)
-let rotr x n = m32 ((x lsr n) lor (x lsl (32 - n)))
-let shr x n = x lsr n
+let m32 = 0xffffffff
 
 let k = [|
   0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4; 0xab1c5ed5;
@@ -20,7 +16,7 @@ let k = [|
 type ctx = {
   h : int array; (* 8 words *)
   buf : Bytes.t; (* 64-byte block buffer *)
-  mutable buf_len : int;
+  mutable buf_len : int; (* -1 once erased *)
   mutable total : int; (* bytes processed *)
   w : int array; (* message schedule scratch *)
 }
@@ -34,37 +30,57 @@ let init () =
     w = Array.make 64 0;
   }
 
+let live ctx = if ctx.buf_len < 0 then invalid_arg "Sha256: context used after erase"
+
+(* One bounds check for the whole block, then unchecked loads. A rotation
+   of a 32-bit word x by n is bits n..n+31 of the doubled word
+   x lor (x lsl 32); the 63-bit int drops x's top bit from the upper copy,
+   which only rotations by more than 31 would reach, and every Σ/σ
+   rotation here is by at most 25. All three rotations of one Σ share the
+   doubling and the final mask. *)
 let compress ctx block off =
+  if off < 0 || off > Bytes.length block - 64 then invalid_arg "Sha256.compress";
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + 4 * i)) lsl 24)
-      lor (Char.code (Bytes.get block (off + 4 * i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + 4 * i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + 4 * i + 3))
+    let p = off + (4 * i) in
+    Array.unsafe_set w i
+      ((Char.code (Bytes.unsafe_get block p) lsl 24)
+      lor (Char.code (Bytes.unsafe_get block (p + 1)) lsl 16)
+      lor (Char.code (Bytes.unsafe_get block (p + 2)) lsl 8)
+      lor Char.code (Bytes.unsafe_get block (p + 3)))
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor shr w.(i - 15) 3 in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor shr w.(i - 2) 10 in
-    w.(i) <- w.(i - 16) +: s0 +: w.(i - 7) +: s1
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land m32 lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land m32 lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land m32)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e &: !f) lxor (m32 (lnot !e) &: !g) in
-    let t1 = !hh +: s1 +: ch +: k.(i) +: w.(i) in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a &: !b) lxor (!a &: !c) lxor (!b &: !c) in
-    let t2 = s0 +: maj in
-    hh := !g; g := !f; f := !e; e := !d +: t1;
-    d := !c; c := !b; b := !a; a := t1 +: t2
+    let ev = !e in
+    let ee = ev lor (ev lsl 32) in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land m32 in
+    let ch = !g lxor (ev land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let av = !a in
+    let aa = av lor (av lsl 32) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land m32 in
+    let maj = (av land !b) lor (!c land (av lor !b)) in
+    hh := !g; g := !f; f := ev; e := (!d + t1) land m32;
+    d := !c; c := !b; b := av; a := (t1 + s0 + maj) land m32
   done;
-  h.(0) <- h.(0) +: !a; h.(1) <- h.(1) +: !b; h.(2) <- h.(2) +: !c; h.(3) <- h.(3) +: !d;
-  h.(4) <- h.(4) +: !e; h.(5) <- h.(5) +: !f; h.(6) <- h.(6) +: !g; h.(7) <- h.(7) +: !hh
+  h.(0) <- (h.(0) + !a) land m32; h.(1) <- (h.(1) + !b) land m32;
+  h.(2) <- (h.(2) + !c) land m32; h.(3) <- (h.(3) + !d) land m32;
+  h.(4) <- (h.(4) + !e) land m32; h.(5) <- (h.(5) + !f) land m32;
+  h.(6) <- (h.(6) + !g) land m32; h.(7) <- (h.(7) + !hh) land m32
 
 let update_bytes ctx data off len =
+  if off < 0 || len < 0 || off > Bytes.length data - len then invalid_arg "Sha256.update_bytes";
+  live ctx;
   ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   if ctx.buf_len > 0 then begin
@@ -91,38 +107,45 @@ let update_bytes ctx data off len =
 
 let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* Padding goes into the context's own block buffer: 0x80, zeros, and the
+   64-bit big-endian bit length, spilling into a second block when fewer
+   than 9 bytes are free. *)
 let finalize ctx =
-  let bitlen = ctx.total * 8 in
-  (* padding: 0x80, zeros, 8-byte big-endian length *)
-  let pad_len =
-    let r = (ctx.total + 1 + 8) mod 64 in
-    if r = 0 then 1 else 1 + (64 - r)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
-  done;
-  (* bypass total accounting for the padding itself *)
-  let total = ctx.total in
-  update_bytes ctx pad 0 (Bytes.length pad);
-  ctx.total <- total;
+  live ctx;
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out (4 * i + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (4 * i + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (4 * i + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
+
+let copy ctx =
+  live ctx;
+  { ctx with h = Array.copy ctx.h; buf = Bytes.copy ctx.buf; w = Array.make 64 0 }
+
+let erase ctx =
+  Array.fill ctx.h 0 8 0;
+  Bytes.fill ctx.buf 0 64 '\000';
+  Array.fill ctx.w 0 64 0;
+  ctx.buf_len <- -1;
+  ctx.total <- 0
+
+let is_erased ctx =
+  ctx.buf_len < 0
+  && Array.for_all (( = ) 0) ctx.h
+  && Array.for_all (( = ) 0) ctx.w
+  && Bytes.for_all (( = ) '\000') ctx.buf
 
 let digest s =
   let ctx = init () in
   update ctx s;
-  finalize ctx
-
-let digest_concat parts =
-  let ctx = init () in
-  List.iter (update ctx) parts;
   finalize ctx

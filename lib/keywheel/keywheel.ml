@@ -25,8 +25,8 @@ let current_round t = t.clock
    direction binding) *)
 let next_key key = Hmac.hmac_sha256 ~key "keywheel-h1"
 
-let token_of key ~callee intent =
-  Hmac.hmac_sha256 ~key ("keywheel-h2" ^ Util.be32 intent ^ callee)
+let h2_input ~callee intent = "keywheel-h2" ^ Util.be32 intent ^ callee
+let token_of key ~callee intent = Hmac.hmac_sha256 ~key (h2_input ~callee intent)
 
 let session_of key = Hmac.hmac_sha256 ~key "keywheel-h3"
 
@@ -46,16 +46,26 @@ let dial_token t ~email ~intent =
   | None -> None
   | Some e -> if e.round > t.clock then None else Some (token_of e.key ~callee:email intent)
 
+(* One prepared wheel key per friend serves all of its intents: 2 + 2·intents
+   SHA-256 compressions instead of 4·intents. The prepared key is as secret
+   as the wheel key, so it is zeroed before the entry is left, also when a
+   derivation raises. *)
 let expected_tokens t ~max_intents =
   Hashtbl.fold
     (fun email e acc ->
       if e.round > t.clock then acc
       else begin
-        let rec go intent acc =
-          if intent < 0 then acc
-          else go (intent - 1) ((email, intent, token_of e.key ~callee:t.owner intent) :: acc)
-        in
-        go (max_intents - 1) acc
+        let k = Hmac.prepare e.key in
+        Fun.protect
+          ~finally:(fun () -> Hmac.erase k)
+          (fun () ->
+            let rec go intent acc =
+              if intent < 0 then acc
+              else
+                let token = Hmac.mac k (h2_input ~callee:t.owner intent) in
+                go (intent - 1) ((email, intent, token) :: acc)
+            in
+            go (max_intents - 1) acc)
       end)
     t.table []
 

@@ -55,7 +55,11 @@ val dial_token : t -> email:string -> intent:int -> string option
 val expected_tokens : t -> max_intents:int -> (string * int * string) list
 (** All (friend, intent, token) triples that could arrive in the current
     round — what the client scans a dialing mailbox for (§5: enumerate all
-    friends × intents; cheap because hashing is fast). *)
+    friends × intents). Each friend's wheel key is prepared once
+    ({!Alpenhorn_crypto.Hmac.prepare}) for all of its intents, so a friend
+    costs 2 + 2·[max_intents] SHA-256 compressions rather than
+    4·[max_intents]. The prepared key is erased before the next friend,
+    also when a derivation raises. Tokens equal {!dial_token}'s. *)
 
 val session_key : t -> email:string -> string option
 (** Session key for a call in the current round (H3 of the wheel key);

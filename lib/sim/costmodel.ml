@@ -1,4 +1,5 @@
 module Params = Alpenhorn_pairing.Params
+module Config = Alpenhorn_core.Config
 module Wire = Alpenhorn_core.Wire
 module Mailbox = Alpenhorn_mixnet.Mailbox
 module Onion = Alpenhorn_mixnet.Onion
@@ -6,6 +7,7 @@ module Payload = Alpenhorn_mixnet.Payload
 module Ibe = Alpenhorn_ibe.Ibe
 module Dh = Alpenhorn_dh.Dh
 module Keywheel = Alpenhorn_keywheel.Keywheel
+module Bloom = Alpenhorn_bloom.Bloom
 module Drbg = Alpenhorn_crypto.Drbg
 
 type machine = {
@@ -79,8 +81,23 @@ let measure_local ?pool (params : Params.t) =
   let ssk, spk = Dh.keygen params rng in
   let onion = Onion.wrap params rng ~server_pks:[ spk ] (String.make 64 'y') in
   let t_unwrap = time_per_op (fun () -> Onion.unwrap params ~sk:ssk onion) 10 in
+  (* a dialing-scan step: one H2 token from a wheel key prepared once for
+     the paper's 10 intents, then one probe of a mailbox-sized filter, as
+     in the per-token body of Client.scan_dialing_mailbox *)
   let t_token =
-    time_per_op (fun () -> Alpenhorn_crypto.Hmac.hmac_sha256 ~key:(String.make 32 'k') "tok") 1000
+    let intents = Config.paper.Config.max_intents in
+    let wheel = Keywheel.create ~owner:"probe@local" in
+    Keywheel.add_friend wheel ~email:"friend@local" ~secret:(Drbg.bytes rng 32) ~round:0;
+    let filter = Bloom.create ~expected_elements:150 in
+    for _ = 1 to 150 do
+      Bloom.add filter (Drbg.bytes rng 32)
+    done;
+    let scan () =
+      List.iter
+        (fun (_, _, token) -> ignore (Bloom.mem filter token))
+        (Keywheel.expected_tokens wheel ~max_intents:intents)
+    in
+    time_per_op scan 100 /. float_of_int intents
   in
   (* the raw pairing (uncached: pair_cached would measure a table lookup) *)
   let t_pairing =

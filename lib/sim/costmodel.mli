@@ -32,7 +32,9 @@ type machine = {
   t_unwrap : float;  (** s/core per onion layer (DH + AEAD) *)
   t_ibe_decrypt : float;  (** s/core per mailbox-scan attempt *)
   t_ibe_encrypt : float;  (** s/core per noise request (add-friend) *)
-  t_token : float;  (** s/core per dial-token hash *)
+  t_token : float;
+      (** s/core per dialing-scan token: one H2 hash on a prepared wheel
+          key and one Bloom probe *)
   t_pairing : float;  (** s/core per Tate pairing (the IBE/BLS kernel) *)
   link_bandwidth : float;  (** bytes/s between servers *)
   client_bandwidth : float;  (** bytes/s client downlink *)

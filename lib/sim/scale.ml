@@ -113,7 +113,7 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
                (i - active) mod num_mailboxes
            in
            Bigarray.Array1.set mb_of i (Int32.of_int mb);
-           let d = Sha256.digest (Printf.sprintf "%s:tok:%d" seed i) in
+           let d = Sha256.digest (seed ^ ":tok:" ^ string_of_int i) in
            Bytes.blit_string d 0 tok (i * token_bytes) token_bytes
          done;
          ())
@@ -174,7 +174,7 @@ let run ?(seed = "scale") ?shards ?(noise_per_mailbox = 75_000) ?(active_fractio
           if Bloom.mem_sub f tok ~pos:(caller * token_bytes) ~len:token_bytes then `Hit
           else `Missed
         else begin
-          let probe = Sha256.digest (Printf.sprintf "%s:probe:%d" seed cid) in
+          let probe = Sha256.digest (seed ^ ":probe:" ^ string_of_int cid) in
           if Bloom.mem f probe then `False_positive else `Clean
         end)
       sample

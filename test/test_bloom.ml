@@ -108,6 +108,40 @@ let index_tests =
           if Bloom.mem filters.(i mod 20) (random_token st) then incr hits
         done;
         Alcotest.(check int) "false positives" 0 !hits);
+    (* Known answers from the array-building derivation the filter used
+       before [mem] walked the recurrence in place. *)
+    Alcotest.test_case "index and wire-format known answers" `Quick (fun () ->
+        let f = Bloom.create ~expected_elements:4 in
+        Alcotest.(check (array int)) "indices of \"\""
+          [| 82; 88; 100; 15; 115; 108; 89; 157; 32; 16; 34; 19; 105; 52; 15; 161; 94; 8; 112;
+             55; 79; 60; 85; 69; 140; 64; 14; 187; 37; 4; 171; 73; 42 |]
+          (Bloom.indices f "");
+        Alcotest.(check (array int)) "indices of \"alpenhorn\""
+          [| 187; 39; 158; 43; 154; 185; 25; 143; 53; 43; 24; 107; 28; 109; 107; 175; 95; 47; 34;
+             75; 14; 97; 13; 47; 121; 179; 188; 139; 48; 149; 127; 79; 131 |]
+          (Bloom.indices f "alpenhorn");
+        Alcotest.(check (array int)) "custom geometry" [| 372; 791; 676; 984; 673; 703; 37 |]
+          (Bloom.indices (Bloom.create_custom ~bits:1000 ~hashes:7) "token");
+        let small = Bloom.create_custom ~bits:64 ~hashes:5 in
+        List.iter (Bloom.add small) [ "a"; "b"; "c" ];
+        Alcotest.(check string) "to_bytes" "0000004000000005000000030402c00492254002"
+          (Alpenhorn_crypto.Util.to_hex (Bloom.to_bytes small)));
+    Alcotest.test_case "slices outside the buffer raise" `Quick (fun () ->
+        let f = Bloom.create ~expected_elements:4 in
+        let buf = Bytes.make 64 't' in
+        List.iter
+          (fun (pos, len) ->
+            let name = Printf.sprintf "pos=%d len=%d" pos len in
+            let raises g =
+              match g () with
+              | _ -> Alcotest.failf "%s: no exception" name
+              | exception Invalid_argument _ -> ()
+            in
+            raises (fun () -> Bloom.add_sub f buf ~pos ~len);
+            raises (fun () -> ignore (Bloom.mem_sub f buf ~pos ~len)))
+          [ (-1, 32); (0, -1); (33, 32); (64, 1); (0, 65); (max_int, 32) ];
+        Alcotest.(check int) "nothing added" 0 (Bloom.count f);
+        Alcotest.(check (float 0.)) "no bit set" 0. (Bloom.fill_ratio f));
   ]
 
 let prop name ?(count = 30) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
@@ -124,6 +158,22 @@ let property_tests =
         match Bloom.of_bytes (Bloom.to_bytes f) with
         | None -> false
         | Some g -> List.for_all (Bloom.mem g) items);
+    prop "mem is every index bit set, on members and non-members" ~count:100
+      QCheck.(pair (int_range 1 64) (int_range 0 10_000))
+      (fun (n, seed) ->
+        let st = Random.State.make [| seed |] in
+        let tok () =
+          String.init (Random.State.int st 40) (fun _ -> Char.chr (Random.State.int st 256))
+        in
+        (* a small filter, so non-members often share some but not all bits *)
+        let f = Bloom.create_custom ~bits:(8 * n) ~hashes:(1 + Random.State.int st 33) in
+        let members = List.init n (fun _ -> tok ()) in
+        List.iter (Bloom.add f) members;
+        let bits = Bloom.to_bytes f in
+        let get_bit i = Char.code bits.[12 + (i / 8)] land (1 lsl (i mod 8)) <> 0 in
+        List.for_all
+          (fun e -> Bloom.mem f e = Array.for_all get_bit (Bloom.indices f e))
+          (members @ List.init 200 (fun _ -> tok ())));
   ]
 
 let suite = unit_tests @ index_tests @ property_tests

@@ -73,6 +73,88 @@ let unit_tests =
         Alcotest.(check string) "okm"
           "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
           (hex (Hmac.hkdf ~salt ~info ~len:42 ikm)));
+    Alcotest.test_case "sha256 update_bytes rejects slices outside the buffer" `Quick (fun () ->
+        let buf = Bytes.make 64 'b' in
+        List.iter
+          (fun (off, len) ->
+            let ctx = Sha256.init () in
+            Sha256.update ctx "prefix";
+            Alcotest.check_raises
+              (Printf.sprintf "off=%d len=%d" off len)
+              (Invalid_argument "Sha256.update_bytes")
+              (fun () -> Sha256.update_bytes ctx buf off len);
+            (* a rejected slice hashes nothing *)
+            Alcotest.(check string) "context untouched" (hex (Sha256.digest "prefix"))
+              (hex (Sha256.finalize ctx)))
+          [ (-1, 1); (0, -1); (0, 65); (1, 64); (60, 5); (65, 0); (max_int, 1); (1, max_int) ]);
+    (* Known answers computed with the original byte-at-a-time kernel: every
+       message length 0..300 and every HMAC key length 0..131, folded into
+       one digest each, so the rewritten kernel cannot drift unnoticed. *)
+    Alcotest.test_case "sha256, hmac and hkdf known-answer sweeps" `Quick (fun () ->
+        let acc = Sha256.init () in
+        for n = 0 to 300 do
+          Sha256.update acc
+            (Sha256.digest (String.init n (fun i -> Char.chr (((i * 7) + n) land 0xff))))
+        done;
+        Alcotest.(check string) "sha256 lengths 0..300"
+          "60d63ff40b5558727a9b786ac0be9300f7ca58fd9ddd3b2f3681b369018a87dc"
+          (hex (Sha256.finalize acc));
+        let acc = Sha256.init () in
+        for kl = 0 to 131 do
+          Sha256.update acc
+            (Hmac.hmac_sha256
+               ~key:(String.init kl (fun i -> Char.chr ((i + kl) land 0xff)))
+               (String.make (kl + 50) 'm'))
+        done;
+        Alcotest.(check string) "hmac key lengths 0..131"
+          "f55860667e9569c0d83f884230f5bf3c56adeb678b087a7c8e1c5d816f036169"
+          (hex (Sha256.finalize acc));
+        Alcotest.(check string) "hkdf 100 bytes"
+          ("fe8f9615d2374c0d17f77d1aeaf408c2e75fe0466073d0def23c733e2f862dfd6814c925"
+         ^ "4418fa112fe862ed399c4b25fdadeaae292fad99bb17d22f96564592abdc5737225fc050"
+         ^ "2567d4eafdc012bd0f06cc3afac9d4b7f372af9a9e95a6dcfaf90709")
+          (hex (Hmac.hkdf ~salt:"salt" ~info:"info" ~len:100 "ikm")));
+    Alcotest.test_case "drbg derive known answer" `Quick (fun () ->
+        let d = Drbg.derive (Drbg.create ~seed:"pin-seed") "pin-label" in
+        Alcotest.(check string) "32 bytes"
+          "9578bf090f65a0aea2f5e354a0f7fcbef86ab7161d89029cc57b58816786b2db"
+          (hex (Drbg.bytes d 32)));
+    Alcotest.test_case "hmac prepared key equals one-shot, keys 0..131 x messages 0..200" `Quick
+      (fun () ->
+        for kl = 0 to 131 do
+          let key = String.init kl (fun i -> Char.chr (((3 * i) + kl) land 0xff)) in
+          let k = Hmac.prepare key in
+          for ml = 0 to 200 do
+            let msg = String.init ml (fun i -> Char.chr ((i + (5 * ml)) land 0xff)) in
+            if Hmac.mac k msg <> Hmac.hmac_sha256 ~key msg then
+              Alcotest.failf "key length %d, message length %d" kl ml
+          done;
+          Hmac.erase k
+        done);
+    Alcotest.test_case "hmac erase zeroes the prepared key and kills it" `Quick (fun () ->
+        let k = Hmac.prepare (String.make 32 'k') in
+        ignore (Hmac.mac k "before");
+        Alcotest.(check bool) "live key is not clear" false (Hmac.is_erased k);
+        Hmac.erase k;
+        Alcotest.(check bool) "midstates zeroed" true (Hmac.is_erased k);
+        Alcotest.check_raises "mac after erase"
+          (Invalid_argument "Sha256: context used after erase")
+          (fun () -> ignore (Hmac.mac k "after")));
+    Alcotest.test_case "one prepared key shared by 4 domains gives the sequential tags" `Quick
+      (fun () ->
+        let module Parallel = Alpenhorn_parallel.Parallel in
+        let k = Hmac.prepare (String.make 32 'p') in
+        let msgs = Array.init 2000 (fun i -> "keywheel-h2" ^ Util.be32 i ^ "owner@example.org") in
+        let sequential = Array.map (Hmac.mac k) msgs in
+        let pool = Parallel.create ~domains:4 in
+        let parallel =
+          Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () ->
+              Parallel.map pool (Hmac.mac k) msgs)
+        in
+        Alcotest.(check (array string)) "same tags" sequential parallel;
+        Alcotest.(check string) "midstates unchanged"
+          (Hmac.hmac_sha256 ~key:(String.make 32 'p') msgs.(7))
+          (Hmac.mac k msgs.(7)));
     Alcotest.test_case "chacha20 rfc8439" `Quick (fun () ->
         let key = Util.of_hex "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f" in
         let nonce = Util.of_hex "000000000000004a00000000" in

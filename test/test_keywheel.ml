@@ -111,6 +111,43 @@ let unit_tests =
         Keywheel.add_friend a ~email:"bob@x" ~secret:secret2 ~round:5;
         Alcotest.(check (option int)) "new round" (Some 5) (Keywheel.entry_round a ~email:"bob@x");
         Alcotest.(check int) "still one entry" 1 (Keywheel.friend_count a));
+    (* Known answers from the original one-shot HMAC derivation: H2 via
+       dial_token and expected_tokens, H3 via session_key, and H1 via the
+       round-8 session key and token, whose wheel key is H1 of the secret. *)
+    Alcotest.test_case "H1/H2/H3 known answers" `Quick (fun () ->
+        let hex = Alpenhorn_crypto.Util.to_hex in
+        let secret = String.init 32 (fun i -> Char.chr (0xa0 + i)) in
+        let w = Keywheel.create ~owner:"bob@example.org" in
+        Keywheel.add_friend w ~email:"alice@example.org" ~secret ~round:7;
+        Keywheel.advance_to w ~round:7;
+        let get = function Some v -> hex v | None -> Alcotest.fail "missing" in
+        Alcotest.(check string) "H2 dial_token, round 7, intent 3"
+          "fc7bafad23678a595a320fb9c79a4b28e2d6444e349c7929c2d151530e1789bd"
+          (get (Keywheel.dial_token w ~email:"alice@example.org" ~intent:3));
+        Alcotest.(check string) "H3 session_key, round 7"
+          "6c1e2cd67af6292134142f983b0fd595299948f8edff7c977c327b56e75652da"
+          (get (Keywheel.session_key w ~email:"alice@example.org"));
+        Alcotest.(check (list (triple string int string)))
+          "H2 expected_tokens, round 7"
+          [
+            ( "alice@example.org", 0,
+              "a77ca8efeaf4edff2f9c9a576d447748a589bc00b2cf0dd33f6080fa40ce27e1" );
+            ( "alice@example.org", 1,
+              "757658fbf3c4a701d205a7bfc74dbb355e0c98d56811bab08ec561d855538ebb" );
+          ]
+          (List.map (fun (e, i, t) -> (e, i, hex t)) (Keywheel.expected_tokens w ~max_intents:2));
+        Keywheel.advance_to w ~round:8;
+        Alcotest.(check string) "H3 after H1, round 8"
+          "8d1ee1ac61f77b35fa7e3e716786e4c7ad55e0c861c75b15e212cdba0024a0aa"
+          (get (Keywheel.session_key w ~email:"alice@example.org"));
+        Alcotest.(check string) "H2 after H1, round 8, intent 0"
+          "d31e1e8df3aeffd212242d5a21ac6ed2255f3128c848d06a8f9abc594181d382"
+          (get (Keywheel.dial_token w ~email:"alice@example.org" ~intent:0));
+        Alcotest.(check string) "peek_token_at, rounds 7 -> 10"
+          "694534ce1bb419951a5143af299966f1bb76c8d76950fbca12f92eed723ad508"
+          (hex
+             (Keywheel.peek_token_at ~secret ~from_round:7 ~at_round:10
+                ~callee:"carol@example.org" ~intent:1)));
   ]
 
 let prop name ?(count = 30) arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
