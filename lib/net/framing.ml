@@ -36,25 +36,30 @@ type decode_result =
   | Need_more
   | Corrupt of string
 
-let decode ?(max_payload = default_max_payload) s ~pos =
-  let n = String.length s in
+(* One decoder over any byte container: the length prefix is read in
+   place, and the payload is copied out only once all of it is there. *)
+let decode_with ~length ~get ~sub ?(max_payload = default_max_payload) s ~pos =
+  let n = length s in
   if pos < 0 || pos > n then Corrupt "bad offset"
   else if n - pos < 4 then Need_more
   else begin
-    let len = read_be32 s pos in
+    let byte i = Char.code (get s (pos + i)) in
+    let len = (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3 in
     if len < 1 then Corrupt "frame length 0"
     else if len - 1 > max_payload then
       Corrupt (Printf.sprintf "frame of %d bytes exceeds the %d-byte bound" (len - 1) max_payload)
     else if n - pos - 4 < len then Need_more
-    else begin
-      let tag = Char.code s.[pos + 4] in
-      Frame ({ tag; payload = String.sub s (pos + 5) (len - 1) }, pos + 4 + len)
-    end
+    else Frame ({ tag = byte 4; payload = sub s (pos + 5) (len - 1) }, pos + 4 + len)
   end
 
+let decode ?max_payload s ~pos =
+  decode_with ~length:String.length ~get:String.get ~sub:String.sub ?max_payload s ~pos
+
+let decode_buffer b ~pos = decode_with ~length:Buffer.length ~get:Buffer.nth ~sub:Buffer.sub b ~pos
+
 (* Total single-frame decoder: exactly one frame, nothing before or after. *)
-let of_string ?max_payload s =
-  match decode ?max_payload s ~pos:0 with
+let of_string s =
+  match decode s ~pos:0 with
   | Frame (f, stop) when stop = String.length s -> Some f
   | Frame _ | Need_more | Corrupt _ -> None
 
@@ -92,14 +97,14 @@ let encode_labels labels =
     labels;
   Buffer.contents b
 
-let encode_traced ?max_payload ?trace frame =
+let encode_traced ?trace frame =
   match trace with
-  | None -> encode ?max_payload frame
+  | None -> encode frame
   | Some labels ->
-    let inner = encode ?max_payload frame in
-    encode ?max_payload { tag = trace_tag; payload = encode_labels labels ^ inner }
+    let inner = encode frame in
+    encode { tag = trace_tag; payload = encode_labels labels ^ inner }
 
-let split_traced ?max_payload (f : frame) =
+let split_traced (f : frame) =
   if f.tag <> trace_tag then None
   else begin
     let src = f.payload in
@@ -144,7 +149,7 @@ let split_traced ?max_payload (f : frame) =
         match pairs n [] with
         | None -> None
         | Some labels -> (
-          match of_string ?max_payload (String.sub src !pos (remaining ())) with
+          match of_string (String.sub src !pos (remaining ())) with
           | None -> None
           | Some inner -> if inner.tag = trace_tag then None else Some (labels, inner))
       end

@@ -29,7 +29,12 @@ val decode : ?max_payload:int -> string -> pos:int -> decode_result
 (** Decode the frame starting at [pos]. Total: never raises on malformed
     input (a [pos] outside the string is reported as [Corrupt]). *)
 
-val of_string : ?max_payload:int -> string -> frame option
+val decode_buffer : Buffer.t -> pos:int -> decode_result
+(** {!decode} over a growing receive buffer, with the default payload
+    bound. A partial frame costs O(1) per call, so a reader may retry
+    after every chunk without recopying what it has buffered. *)
+
+val of_string : string -> frame option
 (** Total single-frame decoder: [Some] iff the input is exactly one
     well-formed frame with no trailing bytes. *)
 
@@ -48,13 +53,12 @@ val trace_tag : int
 (** 0xfe — reserved; protocol tags must avoid it (and {!Rpc.error_tag}
     0xff). *)
 
-val encode_traced :
-  ?max_payload:int -> ?trace:(string * string) list -> frame -> string
+val encode_traced : ?trace:(string * string) list -> frame -> string
 (** With [trace] absent this is exactly {!encode} — not one byte differs.
     With [trace] present, the frame is wrapped in a {!trace_tag} envelope
     carrying the labels. *)
 
-val split_traced : ?max_payload:int -> frame -> ((string * string) list * frame) option
+val split_traced : frame -> ((string * string) list * frame) option
 (** Unwrap a {!trace_tag} envelope into its labels and inner frame.
     [None] when the frame is not an envelope, or the envelope is
     malformed (truncated labels, trailing bytes, nested envelope) —

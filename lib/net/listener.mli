@@ -1,31 +1,25 @@
-(** Zero-dependency TCP listener: a non-blocking [Unix.select] loop with
-    length-bounded HTTP/1.1 request parsing and graceful shutdown
-    (DESIGN.md §12).
-
-    This is the first brick of the real wire deployment (ROADMAP item 1):
-    the PKG and mixnet server binaries will reuse this loop verbatim for
-    their control/metrics planes, which is why it lives in [lib/net]
-    rather than inside the telemetry library. It serves the live
-    telemetry endpoints today ({!Alpenhorn_telemetry.Expose} supplies the
-    handler).
+(** HTTP/1.1 over the shared {!Reactor} loop, with length-bounded
+    request parsing (DESIGN.md §12). It serves the live telemetry
+    endpoints ({!Alpenhorn_telemetry.Expose} supplies the handler) — the
+    metrics plane of every server binary, next to its {!Rpc.Server}.
 
     Shape: {!create} binds and listens (port [0] picks an ephemeral port
-    — read it back with {!port}); {!run} drives the select loop until
-    {!stop}; {!poll} runs a single bounded iteration for callers that own
-    their own loop (tests, a simulator pumping between rounds). One
-    domain runs the loop; {!stop} is safe from any other domain (it wakes
-    the loop through a self-pipe). Connections are handled to completion:
-    read until the header terminator (bounded by [max_request_bytes] —
-    oversized requests get HTTP 431 and the connection is closed), parse
-    the request line and headers, percent-decode the query, call the
-    handler, write the response with [Connection: close]. A graceful
-    {!stop} first stops accepting, then finishes writing every in-flight
-    response (bounded by a 2-second drain deadline) before closing.
+    — read it back with {!port}); {!run} drives the loop until {!stop}.
+    One domain runs the loop; {!stop} is safe from any other domain.
+    The {!Reactor} owns the sockets; this module is the codec. Each
+    connection carries one request: read until the header terminator
+    (bounded by [max_request_bytes] — oversized requests get HTTP 431),
+    parse the request line and headers, percent-decode the query, call
+    the handler, write the response with [Connection: close]. A graceful
+    {!stop} stops accepting, closes connections still sending their
+    request, and finishes writing in-flight responses under the
+    reactor's 2-second drain deadline.
 
     Telemetry: [net.requests{status}] counters, a [net.request_seconds]
-    histogram (accept-to-last-byte, registry clock) and the
-    [net.open_connections] gauge — the listener observes itself through
-    the same registry it usually serves.
+    histogram (accept-to-last-byte, registry clock), the
+    [net.open_connections] gauge and the [net.conns_refused] counter
+    (connections the loop could not watch, {!Reactor}) — the listener
+    observes itself through the same registry it usually serves.
 
     {!fetch} is the matching minimal HTTP/1.1 client (used by the [top]
     dashboard, the CI endpoint smoke test and the [--probe] self-check —
@@ -46,10 +40,9 @@ type handler = request -> response
 
 type t
 
-val create :
-  ?host:string -> ?backlog:int -> ?max_request_bytes:int -> port:int -> handler -> t
+val create : ?host:string -> ?max_request_bytes:int -> port:int -> handler -> t
 (** Bind [host] (default ["127.0.0.1"]) on [port] ([0] = ephemeral) and
-    listen ([backlog] default 16). [max_request_bytes] (default 8192)
+    listen. [max_request_bytes] (default 8192)
     bounds the buffered request head; longer requests are rejected with
     431 before parsing.
     @raise Unix.Unix_error when binding fails (port in use, permission). *)
@@ -58,23 +51,17 @@ val port : t -> int
 (** The actually bound port — the ephemeral port when created with
     [port:0]. *)
 
-val poll : t -> timeout:float -> int
-(** One select iteration waiting at most [timeout] seconds; accepts,
-    reads, dispatches and writes whatever is ready. Returns the number
-    of descriptors progressed (0 on pure timeout). *)
-
 val run : t -> unit
-(** Loop {!poll} until {!stop}, then drain in-flight responses and close
-    every descriptor. Blocks; typically [Domain.spawn (fun () -> run t)]. *)
+(** Serve until {!stop}, then drain in-flight responses and close every
+    descriptor. Blocks; typically [Domain.spawn (fun () -> run t)]. *)
 
 val stop : t -> unit
 (** Request graceful shutdown from any domain; idempotent. {!run}
-    returns once drained. If no [run] is active, the next {!poll} stops
-    accepting and a final {!close} reclaims descriptors. *)
+    returns once drained. *)
 
 val close : t -> unit
-(** Force-close every descriptor now. {!run} calls it on exit; needed
-    only by {!poll}-style callers. Idempotent. *)
+(** Force-close every descriptor now — for a listener that was never
+    {!run}. {!run} calls it on exit. Idempotent. *)
 
 val fetch :
   ?timeout:float -> ?host:string -> port:int -> string -> (int * string, string) result

@@ -1,19 +1,24 @@
 (** Framed request/response RPC over TCP (DESIGN.md §13).
 
-    The {!Server} generalizes the {!Listener}'s non-blocking select
-    machinery from HTTP to {!Framing} streams: connections are
-    persistent, each request frame yields exactly one response frame (in
-    order), and every connection carries its own partial-read and
-    partial-write state so slow or bursty peers never block the loop. A
-    [Corrupt] framing verdict drops the connection — stream framing
-    errors are not recoverable.
+    The {!Server} is the {!Framing} codec for the shared {!Reactor} loop
+    (the {!Listener} is the HTTP one): connections are persistent, each
+    request frame yields exactly one response frame (in order), and the
+    reactor keeps every connection's partial-read and partial-write
+    state so slow or bursty peers never block the loop. A [Corrupt]
+    framing verdict closes the connection once the responses before it
+    are written — stream framing errors are not recoverable. Metrics:
+    [rpc.calls], [rpc.errors], per-tag [rpc.call{tag}],
+    [rpc.request_seconds{tag}] and [rpc.payload_bytes{tag}], and the
+    reactor's [rpc.open_connections] and [rpc.conns_refused].
 
     The {!Client} is deliberately blocking (socket timeouts bound every
     syscall): RPC callers in this tree are orchestrators issuing one call
     at a time per connection.
 
-    Handler exceptions are caught and returned to the peer as an
-    {!error_tag} frame carrying the exception text. *)
+    Handler exceptions — a response over the payload bound among them —
+    are caught and returned to the peer as an {!error_tag} frame
+    carrying the exception text. Frames are bounded by
+    {!Framing.default_max_payload} both ways. *)
 
 type handler = Framing.frame -> Framing.frame
 
@@ -30,14 +35,12 @@ val error_tag : int
 module Server : sig
   type t
 
-  val create :
-    ?host:string -> ?backlog:int -> ?max_payload:int -> port:int -> handler -> t
+  val create : ?host:string -> port:int -> handler -> t
   (** Bind and listen (non-blocking). [~port:0] picks an ephemeral port;
       read it back with {!port}. [host] defaults to localhost.
       @raise Unix.Unix_error when the bind fails. *)
 
-  val create_traced :
-    ?host:string -> ?backlog:int -> ?max_payload:int -> port:int -> traced_handler -> t
+  val create_traced : ?host:string -> port:int -> traced_handler -> t
   (** Like {!create}, but the handler sees the trace labels of
       enveloped requests ([trace = None] for plain ones). {!create} is
       [create_traced] ignoring the labels. *)
@@ -47,11 +50,6 @@ module Server : sig
   val run : t -> unit
   (** Serve until {!stop}, then flush in-flight responses (bounded) and
       close every descriptor. Run this in its own domain or process. *)
-
-  val poll : t -> timeout:float -> int
-  (** One select iteration — accept, read, dispatch, write — returning
-      the number of descriptors that made progress. {!run} is a loop over
-      this; tests can single-step it instead. *)
 
   val stop : t -> unit
   (** Signal {!run} to finish. Safe from any domain or signal handler:
@@ -64,11 +62,10 @@ end
 module Client : sig
   type t
 
-  val connect :
-    ?timeout:float -> ?max_payload:int -> ?host:string -> port:int -> unit ->
-    (t, string) result
+  val connect : ?timeout:float -> ?host:string -> port:int -> unit -> (t, string) result
   (** TCP connect with [timeout] (default 5s) applied to every subsequent
-      read and write on the connection. *)
+      read and write on the connection ({!Reactor.connect}: the error
+      names its class, ["refused: ..."] or ["timeout: ..."]). *)
 
   val set_trace : t -> (string * string) list option -> unit
   (** Arm (or disarm) the trace labels for the {e next} {!call} only: the

@@ -307,6 +307,17 @@ let rpc_tests =
                         in
                         find 0)
                    | Error e -> Alcotest.failf "error call: %s" e);
+                  (* the largest legal request frame: its echo would pass
+                     the bound, so the server answers with the error frame
+                     and keeps the connection *)
+                  let max = F.default_max_payload in
+                  (match Rpc.Client.call c { F.tag = 5; payload = String.make max 'm' } with
+                   | Ok r -> Alcotest.(check int) "over-bound echo is an error" Rpc.error_tag r.F.tag
+                   | Error e -> Alcotest.failf "max-payload call: %s" e);
+                  (* and a reply of exactly the largest legal payload *)
+                  (match Rpc.Client.call c { F.tag = 6; payload = String.make (max - 5) 'm' } with
+                   | Ok r -> Alcotest.(check int) "max-payload echo" max (String.length r.F.payload)
+                   | Error e -> Alcotest.failf "max-payload echo: %s" e);
                   match Rpc.Client.call c { F.tag = 4; payload = "still here" } with
                   | Ok r ->
                     Alcotest.check frame "after error" { F.tag = 4; payload = "echo:still here" } r
@@ -546,4 +557,70 @@ let recovery_tests =
       (killed_mixer { Config.test with Config.n_pkgs = 1; dial_shards = 2 });
   ]
 
-let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests
+(* ---------- more connections than select can watch ---------- *)
+
+(* 1,100 connections from this process push descriptors past FD_SETSIZE
+   (1024): the server must refuse what it cannot watch, count it, and
+   keep serving. [ask] makes one fresh request once the flood is gone. *)
+let flood ~counter ~start ~ask =
+  let refused () =
+    Option.value ~default:0 (Tel.Snapshot.find_counter (Tel.Snapshot.take Tel.default) counter)
+  in
+  let before = refused () in
+  let port, stop = start () in
+  Fun.protect ~finally:stop (fun () ->
+      let socks = ref [] in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !socks)
+        (fun () ->
+          for _ = 1 to 1100 do
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            socks := fd :: !socks;
+            Unix.set_nonblock fd;
+            try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+            with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()
+          done;
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while refused () = before && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.02
+          done);
+      Alcotest.(check bool) (counter ^ " counted") true (refused () > before);
+      match ask port with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: request after the flood: %s" counter e)
+
+let flood_tests =
+  [
+    Alcotest.test_case "descriptor flood: refuse past FD_SETSIZE, keep serving" `Quick (fun () ->
+        flood ~counter:"rpc.conns_refused"
+          ~start:(fun () ->
+            let h = host (fun f -> f) in
+            (Rpc.Server.port h.srv, fun () -> stop_hosted h))
+          ~ask:(fun port ->
+            match Rpc.Client.connect ~port () with
+            | Error e -> Error e
+            | Ok c ->
+              Fun.protect
+                ~finally:(fun () -> Rpc.Client.close c)
+                (fun () ->
+                  Result.map
+                    (fun r -> Alcotest.check frame "echo" { F.tag = 1; payload = "after" } r)
+                    (Rpc.Client.call c { F.tag = 1; payload = "after" })));
+        flood ~counter:"net.conns_refused"
+          ~start:(fun () ->
+            let l =
+              Listener.create ~port:0 (fun _ ->
+                  { Listener.status = 200; content_type = "text/plain"; body = "ok" })
+            in
+            let dom = Domain.spawn (fun () -> Listener.run l) in
+            ( Listener.port l,
+              fun () ->
+                Listener.stop l;
+                Domain.join dom ))
+          ~ask:(fun port ->
+            Result.map
+              (fun (status, _) -> Alcotest.(check int) "status" 200 status)
+              (Listener.fetch ~port "/")));
+  ]
+
+let suite = framing_tests @ rpc_tests @ listener_tests @ recovery_tests @ flood_tests

@@ -8,6 +8,8 @@ module Timeseries = Alpenhorn_telemetry.Timeseries
 module Slo = Alpenhorn_telemetry.Slo
 module Dashboard = Alpenhorn_telemetry.Dashboard
 module Listener = Alpenhorn_net.Listener
+module Rpc = Alpenhorn_net.Rpc
+module Framing = Alpenhorn_net.Framing
 
 let fresh () = Tel.create ()
 
@@ -287,7 +289,22 @@ let listener_tests =
         Listener.close t2;
         Alcotest.(check bool) "stop is idempotent" true
           (Listener.stop t;
-           true));
+           true);
+        (* the RPC server: serve one call, stop with the client still
+           connected, re-bind the same port *)
+        let srv = Rpc.Server.create ~port:0 (fun f -> f) in
+        let rport = Rpc.Server.port srv in
+        let d = Domain.spawn (fun () -> Rpc.Server.run srv) in
+        (match Rpc.Client.connect ~port:rport () with
+        | Error e -> Alcotest.failf "rpc connect: %s" e
+        | Ok c ->
+          (match Rpc.Client.call c { Framing.tag = 1; payload = "ok" } with
+          | Error e -> Alcotest.failf "pre-stop call: %s" e
+          | Ok r -> Alcotest.(check string) "rpc echo" "ok" r.Framing.payload);
+          Rpc.Server.stop srv;
+          Domain.join d;
+          Rpc.Client.close c);
+        Rpc.Server.close (Rpc.Server.create ~port:rport (fun f -> f)));
     Alcotest.test_case "url_decode" `Quick (fun () ->
         Alcotest.(check string) "percent and plus" "a b/c"
           (Listener.url_decode "a+b%2Fc");
