@@ -5,6 +5,8 @@
 module Params = Alpenhorn_pairing.Params
 module Pairing = Alpenhorn_pairing.Pairing
 module Curve = Alpenhorn_pairing.Curve
+module Field = Alpenhorn_pairing.Field
+module Mont = Alpenhorn_pairing.Mont
 module Ibe = Alpenhorn_ibe.Ibe
 module Bls = Alpenhorn_bls.Bls
 module Dh = Alpenhorn_dh.Dh
@@ -28,6 +30,12 @@ let cpu () =
   let msg = String.make (Wire.request_plaintext_size pr) 'm' in
   let ctxt = Ibe.encrypt pr rng mpk ~id:"bench@example.org" msg in
 
+  (* the base-field kernel every layer above runs on, in Montgomery form *)
+  let fctx = Field.mont_ctx pr.Params.fp in
+  let fx = Mont.of_bigint fctx (Drbg.bigint_below rng (Field.modulus pr.Params.fp)) in
+  let fy = Mont.of_bigint fctx (Drbg.bigint_below rng (Field.modulus pr.Params.fp)) in
+  let t_fp_mul = time_ns "fp-mul" (fun () -> Mont.mul fctx fx fy) in
+  let t_fp_add = time_ns "fp-add" (fun () -> Mont.add fctx fx fy) in
   let t_pairing = time_ns "pairing" (fun () -> Pairing.pair pr pr.Params.g d_id) in
   let t_ibe_dec = time_ns "ibe-decrypt" (fun () -> Ibe.decrypt pr d_id ctxt) in
   let t_ibe_enc =
@@ -61,6 +69,8 @@ let cpu () =
   let t_smul_fb = time_ns "g1-scalar-mult-fixed" (fun () -> Params.mul_g pr scalar) in
 
   row [ pad 22 "operation"; padl 12 "this impl"; pad 34 "  paper (Go + AMD64 asm, BN-256)" ];
+  row [ pad 22 "Fp mul"; padl 12 (human_time t_fp_mul); pad 34 "  -" ];
+  row [ pad 22 "Fp add"; padl 12 (human_time t_fp_add); pad 34 "  -" ];
   row [ pad 22 "IBE decrypt"; padl 12 (human_time t_ibe_dec); pad 34 "  1.25 ms (800/s/core)" ];
   row [ pad 22 "IBE encrypt"; padl 12 (human_time t_ibe_enc); pad 34 "  ~1.25 ms" ];
   row [ pad 22 "pairing"; padl 12 (human_time t_pairing); pad 34 "  (dominates IBE ops)" ];

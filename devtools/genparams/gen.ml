@@ -1,8 +1,31 @@
-(* Generate (q, l) pairs for Params pregenerated sets. *)
+(* Generate (q, l) pairs for Params pregenerated sets.
+
+   usage: gen QBITS
+
+   p = 12·l·q − 1 with l found by a short search upward from at most
+   2^8, so 12·l stays below 2^12 and p has at most QBITS + 12 bits. The
+   Montgomery kernel (lib/pairing/mont.ml) holds moduli of at most 248
+   bits, so QBITS may be at most 236. *)
 module B = Alpenhorn_bigint.Bigint
 module P = Alpenhorn_pairing
+
+let max_qbits = 248 - 12
+
 let () =
-  let qbits = int_of_string Sys.argv.(1) in
+  let qbits =
+    match Array.to_list Sys.argv with
+    | [ _; s ] -> (match int_of_string_opt s with Some n when n >= 8 && n <= max_qbits -> Some n | _ -> None)
+    | _ -> None
+  in
+  let qbits =
+    match qbits with
+    | Some n -> n
+    | None ->
+      Printf.eprintf
+        "usage: gen QBITS   (8 <= QBITS <= %d: p = 12*l*q - 1 must fit the 248-bit Montgomery kernel)\n"
+        max_qbits;
+      exit 2
+  in
   let rng = Alpenhorn_crypto.Drbg.create ~seed:("genparams-" ^ Sys.argv.(1)) in
   let t0 = Unix.gettimeofday () in
   let p = P.Params.generate rng ~qbits in

@@ -1,13 +1,17 @@
 (* Fixed-width Montgomery arithmetic kernel.
 
-   Elements are flat little-endian arrays of exactly [ctx.n] limbs of 31
-   bits, held in Montgomery form (a·R mod p with R = 2^(31n)). 31-bit
-   limbs make every partial product fit a native 63-bit OCaml int:
-   (2^31−1)² + 2·(2^31−1) = 2^62 − 1, so the CIOS inner loops need no
-   overflow handling and no boxing. This is the multiplication that every
-   pairing, IBE and BLS operation in the system bottoms out in; the
-   generic Bigint + Barrett path in [Field] stays as the reference
-   implementation the property tests compare against. *)
+   Elements are flat little-endian arrays of exactly 8 limbs of 31 bits
+   (248 bits), held in Montgomery form (a·R mod p with R = 2^248). Every
+   modulus this repo uses fits: the test curve's 72-bit p and the
+   production curve's 237-bit p. 31-bit limbs make every partial product
+   fit a native 63-bit OCaml int: (2^31−1)² + 2·(2^31−1) = 2^62 − 1, so
+   the CIOS rows need no overflow handling and no boxing. With the width
+   fixed, every operation is written out limb by limb: no loop counters,
+   no scratch buffer, and the accumulator lives in local variables. This
+   is the multiplication that every pairing, IBE and BLS operation in the
+   system bottoms out in; the generic Bigint + Barrett path in [Field]
+   stays as the reference implementation the property tests compare
+   against. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 module Tel = Alpenhorn_telemetry.Telemetry
@@ -15,19 +19,19 @@ module Tel = Alpenhorn_telemetry.Telemetry
 let limb_bits = 31
 let base = 1 lsl limb_bits
 let mask = base - 1
+let width = 8
+let max_bits = limb_bits * width
 
 type el = int array
 
 type ctx = {
-  n : int; (* limb count: ceil(numbits p / 31) *)
-  p : int array; (* modulus, n limbs *)
+  p : int array; (* modulus, 8 limbs *)
   p0inv : int; (* -p⁻¹ mod 2^31 *)
   r2 : el; (* R² mod p: of_bigint multiplies by this *)
   one_m : el; (* R mod p = Montgomery form of 1 *)
   one_raw : el; (* plain 1; mont-mul by it converts out of Montgomery form *)
   pm2 : Bigint.t; (* p − 2, the Fermat inversion exponent *)
   p_big : Bigint.t;
-  scratch : int array Domain.DLS.key; (* n+2 limbs reused by [mul], one per domain *)
   c_mul : Tel.Counter.t; (* kernel invocations ("pairing.mont_mul") *)
 }
 
@@ -41,190 +45,351 @@ let neg_inv_limb p0 =
   done;
   (base - !x) land mask
 
-let limbs_of_bigint n x =
+let limbs_of_bigint x =
   let l = Bigint.to_limbs x in
-  if Array.length l > n then invalid_arg "Mont: value wider than modulus";
-  let a = Array.make n 0 in
+  if Array.length l > width then invalid_arg "Mont: value wider than modulus";
+  let a = Array.make width 0 in
   Array.blit l 0 a 0 (Array.length l);
   a
 
 let create p_big =
   if Bigint.is_even p_big || Bigint.sign p_big <= 0 then
     invalid_arg "Mont.create: modulus must be odd and positive";
-  let n = (Bigint.numbits p_big + limb_bits - 1) / limb_bits in
-  let p = limbs_of_bigint n p_big in
-  let r = Bigint.shift_left Bigint.one (limb_bits * n) in
-  let one_raw = Array.make n 0 in
-  one_raw.(0) <- 1;
+  if Bigint.numbits p_big > max_bits then invalid_arg "Mont.create: modulus wider than 248 bits";
+  let p = limbs_of_bigint p_big in
+  let r = Bigint.shift_left Bigint.one max_bits in
   {
-    n;
     p;
     p0inv = neg_inv_limb p.(0);
-    r2 = limbs_of_bigint n (Bigint.rem (Bigint.mul r r) p_big);
-    one_m = limbs_of_bigint n (Bigint.rem r p_big);
-    one_raw;
+    r2 = limbs_of_bigint (Bigint.rem (Bigint.mul r r) p_big);
+    one_m = limbs_of_bigint (Bigint.rem r p_big);
+    one_raw = limbs_of_bigint Bigint.one;
     pm2 = Bigint.sub p_big Bigint.two;
     p_big;
-    scratch = Domain.DLS.new_key (fun () -> Array.make (n + 2) 0);
     c_mul = Tel.Counter.v Tel.default "pairing.mont_mul";
   }
 
-let limbs ctx = ctx.n
-let zero ctx = Array.make ctx.n 0
+let limbs _ = width
+let zero _ = Array.make width 0
 let one ctx = Array.copy ctx.one_m
 
-let is_zero a =
-  let rec go i = i < 0 || (Array.unsafe_get a i = 0 && go (i - 1)) in
-  go (Array.length a - 1)
+let is_zero a = a.(0) lor a.(1) lor a.(2) lor a.(3) lor a.(4) lor a.(5) lor a.(6) lor a.(7) = 0
 
 let equal a b =
-  let rec go i = i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && go (i - 1)) in
-  go (Array.length a - 1)
+  a.(0) = b.(0) && a.(1) = b.(1) && a.(2) = b.(2) && a.(3) = b.(3)
+  && a.(4) = b.(4) && a.(5) = b.(5) && a.(6) = b.(6) && a.(7) = b.(7)
 
-(* magnitude compare of an n-limb buffer against p *)
-let geq_p ctx (t : int array) =
-  let rec go i =
-    if i < 0 then true
-    else begin
-      let ti = Array.unsafe_get t i and pi = Array.unsafe_get ctx.p i in
-      if ti <> pi then ti > pi else go (i - 1)
-    end
-  in
-  go (ctx.n - 1)
+(* The element t0..t7 plus a carry limb t8, known to be below 2p: minus p
+   when t8 is set or t ≥ p (a set t8 is cancelled by the final borrow),
+   as is otherwise. *)
+let reduce_once ctx t0 t1 t2 t3 t4 t5 t6 t7 t8 =
+  let p = ctx.p in
+  let p0 = Array.unsafe_get p 0 and p1 = Array.unsafe_get p 1 and p2 = Array.unsafe_get p 2
+  and p3 = Array.unsafe_get p 3 and p4 = Array.unsafe_get p 4 and p5 = Array.unsafe_get p 5
+  and p6 = Array.unsafe_get p 6 and p7 = Array.unsafe_get p 7 in
+  if
+    t8 <> 0
+    ||
+    if t7 <> p7 then t7 > p7
+    else if t6 <> p6 then t6 > p6
+    else if t5 <> p5 then t5 > p5
+    else if t4 <> p4 then t4 > p4
+    else if t3 <> p3 then t3 > p3
+    else if t2 <> p2 then t2 > p2
+    else if t1 <> p1 then t1 > p1
+    else t0 >= p0
+  then begin
+    (* [s asr 31] is the borrow into the next limb: −1 or 0 *)
+    let s = t0 - p0 in let r0 = s land mask in
+    let s = t1 - p1 + (s asr 31) in let r1 = s land mask in
+    let s = t2 - p2 + (s asr 31) in let r2 = s land mask in
+    let s = t3 - p3 + (s asr 31) in let r3 = s land mask in
+    let s = t4 - p4 + (s asr 31) in let r4 = s land mask in
+    let s = t5 - p5 + (s asr 31) in let r5 = s land mask in
+    let s = t6 - p6 + (s asr 31) in let r6 = s land mask in
+    let s = t7 - p7 + (s asr 31) in let r7 = s land mask in
+    [| r0; r1; r2; r3; r4; r5; r6; r7 |]
+  end
+  else [| t0; t1; t2; t3; t4; t5; t6; t7 |]
 
-(* subtract p in place from an n-limb buffer; returns the final borrow *)
-let sub_p_inplace ctx (t : int array) =
-  let borrow = ref 0 in
-  for i = 0 to ctx.n - 1 do
-    let s = Array.unsafe_get t i - Array.unsafe_get ctx.p i - !borrow in
-    if s < 0 then begin
-      Array.unsafe_set t i (s + base);
-      borrow := 1
-    end
-    else begin
-      Array.unsafe_set t i s;
-      borrow := 0
-    end
-  done;
-  !borrow
+let check_slice name a off b =
+  if off < 0 || off + width > Array.length a || Array.length b <> width then invalid_arg name
 
-(* CIOS Montgomery multiplication: interleaves the schoolbook product with
-   per-word Montgomery reduction, keeping the accumulator at n+2 limbs.
-   Inputs < p, output < p (one conditional final subtraction). *)
+(* CIOS Montgomery multiplication: each of the 8 rows adds a_i·b to the
+   accumulator t0..t9, then adds m·p for the m that clears the low limb
+   and shifts down one limb. Inputs < p keep t < 2p, so one conditional
+   subtraction finishes. *)
 let mul_at ctx a off b =
   Tel.Counter.inc ctx.c_mul;
-  let n = ctx.n and p = ctx.p and p0inv = ctx.p0inv and t = Domain.DLS.get ctx.scratch in
-  if off < 0 || off + n > Array.length a then invalid_arg "Mont.mul_at";
-  Array.fill t 0 (n + 2) 0;
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a (off + i) in
-    (* t += ai · b *)
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (s land mask);
-      c := s lsr limb_bits
-    done;
-    let s = Array.unsafe_get t n + !c in
-    Array.unsafe_set t n (s land mask);
-    Array.unsafe_set t (n + 1) (s lsr limb_bits);
-    (* t := (t + m·p) / 2^31  with m chosen so t becomes divisible *)
-    let m = Array.unsafe_get t 0 * p0inv land mask in
-    let c = ref ((Array.unsafe_get t 0 + (m * Array.unsafe_get p 0)) lsr limb_bits) in
-    for j = 1 to n - 1 do
-      let s = Array.unsafe_get t j + (m * Array.unsafe_get p j) + !c in
-      Array.unsafe_set t (j - 1) (s land mask);
-      c := s lsr limb_bits
-    done;
-    let s = Array.unsafe_get t n + !c in
-    Array.unsafe_set t (n - 1) (s land mask);
-    Array.unsafe_set t n (Array.unsafe_get t (n + 1) + (s lsr limb_bits));
-    Array.unsafe_set t (n + 1) 0
-  done;
-  (* t < 2p, so at most one subtraction; a set t.(n) bit is cancelled by
-     the final borrow *)
-  let r = Array.make n 0 in
-  if t.(n) = 1 || geq_p ctx t then ignore (sub_p_inplace ctx t);
-  Array.blit t 0 r 0 n;
-  r
+  check_slice "Mont.mul_at" a off b;
+  let p = ctx.p and q = ctx.p0inv in
+  let p0 = Array.unsafe_get p 0 and p1 = Array.unsafe_get p 1 and p2 = Array.unsafe_get p 2
+  and p3 = Array.unsafe_get p 3 and p4 = Array.unsafe_get p 4 and p5 = Array.unsafe_get p 5
+  and p6 = Array.unsafe_get p 6 and p7 = Array.unsafe_get p 7 in
+  let b0 = Array.unsafe_get b 0 and b1 = Array.unsafe_get b 1 and b2 = Array.unsafe_get b 2
+  and b3 = Array.unsafe_get b 3 and b4 = Array.unsafe_get b 4 and b5 = Array.unsafe_get b 5
+  and b6 = Array.unsafe_get b 6 and b7 = Array.unsafe_get b 7 in
+  let t0 = 0 and t1 = 0 and t2 = 0 and t3 = 0 and t4 = 0 and t5 = 0 and t6 = 0 and t7 = 0
+  and t8 = 0 in
+  (* row 0 *)
+  let ai = Array.unsafe_get a (off + 0) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 1 *)
+  let ai = Array.unsafe_get a (off + 1) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 2 *)
+  let ai = Array.unsafe_get a (off + 2) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 3 *)
+  let ai = Array.unsafe_get a (off + 3) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 4 *)
+  let ai = Array.unsafe_get a (off + 4) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 5 *)
+  let ai = Array.unsafe_get a (off + 5) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 6 *)
+  let ai = Array.unsafe_get a (off + 6) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  (* row 7 *)
+  let ai = Array.unsafe_get a (off + 7) in
+  let s = t0 + (ai * b0) in let t0 = s land mask in
+  let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
+  let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
+  let s = t3 + (ai * b3) + (s lsr 31) in let t3 = s land mask in
+  let s = t4 + (ai * b4) + (s lsr 31) in let t4 = s land mask in
+  let s = t5 + (ai * b5) + (s lsr 31) in let t5 = s land mask in
+  let s = t6 + (ai * b6) + (s lsr 31) in let t6 = s land mask in
+  let s = t7 + (ai * b7) + (s lsr 31) in let t7 = s land mask in
+  let s = t8 + (s lsr 31) in let t8 = s land mask and t9 = s lsr 31 in
+  let m = t0 * q land mask in
+  let s = t0 + (m * p0) in
+  let s = t1 + (m * p1) + (s lsr 31) in let t0 = s land mask in
+  let s = t2 + (m * p2) + (s lsr 31) in let t1 = s land mask in
+  let s = t3 + (m * p3) + (s lsr 31) in let t2 = s land mask in
+  let s = t4 + (m * p4) + (s lsr 31) in let t3 = s land mask in
+  let s = t5 + (m * p5) + (s lsr 31) in let t4 = s land mask in
+  let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
+  let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
+  let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
+  reduce_once ctx t0 t1 t2 t3 t4 t5 t6 t7 t8
 
 let mul ctx a b = mul_at ctx a 0 b
 let sqr ctx a = mul ctx a a
 
 let add_at ctx a off b =
-  let n = ctx.n in
-  if off < 0 || off + n > Array.length a then invalid_arg "Mont.add_at";
-  let r = Array.make n 0 in
-  let c = ref 0 in
-  for i = 0 to n - 1 do
-    let s = Array.unsafe_get a (off + i) + Array.unsafe_get b i + !c in
-    Array.unsafe_set r i (s land mask);
-    c := s lsr limb_bits
-  done;
-  if !c = 1 || geq_p ctx r then ignore (sub_p_inplace ctx r);
-  r
+  check_slice "Mont.add_at" a off b;
+  let s = Array.unsafe_get a off + Array.unsafe_get b 0 in
+  let t0 = s land mask in
+  let s = Array.unsafe_get a (off + 1) + Array.unsafe_get b 1 + (s lsr 31) in
+  let t1 = s land mask in
+  let s = Array.unsafe_get a (off + 2) + Array.unsafe_get b 2 + (s lsr 31) in
+  let t2 = s land mask in
+  let s = Array.unsafe_get a (off + 3) + Array.unsafe_get b 3 + (s lsr 31) in
+  let t3 = s land mask in
+  let s = Array.unsafe_get a (off + 4) + Array.unsafe_get b 4 + (s lsr 31) in
+  let t4 = s land mask in
+  let s = Array.unsafe_get a (off + 5) + Array.unsafe_get b 5 + (s lsr 31) in
+  let t5 = s land mask in
+  let s = Array.unsafe_get a (off + 6) + Array.unsafe_get b 6 + (s lsr 31) in
+  let t6 = s land mask in
+  let s = Array.unsafe_get a (off + 7) + Array.unsafe_get b 7 + (s lsr 31) in
+  let t7 = s land mask in
+  reduce_once ctx t0 t1 t2 t3 t4 t5 t6 t7 (s lsr 31)
 
 let add ctx a b = add_at ctx a 0 b
 
+(* a − b limb by limb with a signed borrow ([s asr 31], −1 or 0); a final
+   borrow means a < b, and adding p back brings the result into [0, p)
+   (the carry out of that addition cancels the borrow). *)
 let sub_at ctx a off b =
-  let n = ctx.n in
-  if off < 0 || off + n > Array.length a then invalid_arg "Mont.sub_at";
-  let r = Array.make n 0 in
-  let borrow = ref 0 in
-  for i = 0 to n - 1 do
-    let s = Array.unsafe_get a (off + i) - Array.unsafe_get b i - !borrow in
-    if s < 0 then begin
-      Array.unsafe_set r i (s + base);
-      borrow := 1
-    end
-    else begin
-      Array.unsafe_set r i s;
-      borrow := 0
-    end
-  done;
-  if !borrow = 1 then begin
-    (* went negative: add p back (final carry cancels the borrow) *)
-    let c = ref 0 in
-    for i = 0 to n - 1 do
-      let s = Array.unsafe_get r i + Array.unsafe_get ctx.p i + !c in
-      Array.unsafe_set r i (s land mask);
-      c := s lsr limb_bits
-    done
-  end;
-  r
+  check_slice "Mont.sub_at" a off b;
+  let s = Array.unsafe_get a off - Array.unsafe_get b 0 in
+  let t0 = s land mask in
+  let s = Array.unsafe_get a (off + 1) - Array.unsafe_get b 1 + (s asr 31) in
+  let t1 = s land mask in
+  let s = Array.unsafe_get a (off + 2) - Array.unsafe_get b 2 + (s asr 31) in
+  let t2 = s land mask in
+  let s = Array.unsafe_get a (off + 3) - Array.unsafe_get b 3 + (s asr 31) in
+  let t3 = s land mask in
+  let s = Array.unsafe_get a (off + 4) - Array.unsafe_get b 4 + (s asr 31) in
+  let t4 = s land mask in
+  let s = Array.unsafe_get a (off + 5) - Array.unsafe_get b 5 + (s asr 31) in
+  let t5 = s land mask in
+  let s = Array.unsafe_get a (off + 6) - Array.unsafe_get b 6 + (s asr 31) in
+  let t6 = s land mask in
+  let s = Array.unsafe_get a (off + 7) - Array.unsafe_get b 7 + (s asr 31) in
+  let t7 = s land mask in
+  if s >= 0 then [| t0; t1; t2; t3; t4; t5; t6; t7 |]
+  else begin
+    let p = ctx.p in
+    let s = t0 + Array.unsafe_get p 0 in let r0 = s land mask in
+    let s = t1 + Array.unsafe_get p 1 + (s lsr 31) in let r1 = s land mask in
+    let s = t2 + Array.unsafe_get p 2 + (s lsr 31) in let r2 = s land mask in
+    let s = t3 + Array.unsafe_get p 3 + (s lsr 31) in let r3 = s land mask in
+    let s = t4 + Array.unsafe_get p 4 + (s lsr 31) in let r4 = s land mask in
+    let s = t5 + Array.unsafe_get p 5 + (s lsr 31) in let r5 = s land mask in
+    let s = t6 + Array.unsafe_get p 6 + (s lsr 31) in let r6 = s land mask in
+    let s = t7 + Array.unsafe_get p 7 + (s lsr 31) in let r7 = s land mask in
+    [| r0; r1; r2; r3; r4; r5; r6; r7 |]
+  end
 
 let sub ctx a b = sub_at ctx a 0 b
 
-let store ctx a buf off = Array.blit a 0 buf off ctx.n
+let store _ a buf off = Array.blit a 0 buf off width
 
 let neg ctx a = if is_zero a then Array.copy a else sub ctx (zero ctx) a
 
-(* a·k for a small non-negative int k (curve formulas use k ≤ 12): extend
-   to n+1 limbs then subtract p until in range — at most k iterations. *)
+(* a·k for a small non-negative int k by double-and-add over k's bits:
+   the curve formulas' k ∈ {2, 3, 8} cost 1, 2 and 3 additions. *)
 let mul_small ctx a k =
   if k < 0 || k >= base then invalid_arg "Mont.mul_small";
   if k = 0 then zero ctx
   else begin
-    let n = ctx.n in
-    let r = Array.make n 0 in
-    let c = ref 0 in
-    for i = 0 to n - 1 do
-      let s = (Array.unsafe_get a i * k) + !c in
-      Array.unsafe_set r i (s land mask);
-      c := s lsr limb_bits
+    let top = ref 0 in
+    while k lsr (!top + 1) <> 0 do
+      incr top
     done;
-    let hi = ref !c in
-    while !hi > 0 || geq_p ctx r do
-      hi := !hi - sub_p_inplace ctx r
+    let acc = ref a in
+    for i = !top - 1 downto 0 do
+      acc := add ctx !acc !acc;
+      if (k lsr i) land 1 = 1 then acc := add ctx !acc a
     done;
-    r
+    !acc
   end
 
 let of_bigint ctx x =
   let x =
     if Bigint.sign x < 0 || Bigint.compare x ctx.p_big >= 0 then Bigint.rem x ctx.p_big else x
   in
-  mul ctx (limbs_of_bigint ctx.n x) ctx.r2
+  mul ctx (limbs_of_bigint x) ctx.r2
 
 let to_bigint ctx a = Bigint.of_limbs (mul ctx a ctx.one_raw)
 

@@ -1,12 +1,15 @@
 (** Fixed-width Montgomery arithmetic over [F_p] — the multiplication
     kernel under the pairing stack's hot path.
 
-    An {!el} is a flat little-endian array of exactly [n] 31-bit limbs
-    holding [a·R mod p] with [R = 2^(31n)]; 31-bit limbs keep every CIOS
-    partial product inside OCaml's 63-bit native [int]. A {!ctx} carries
-    the modulus, the precomputed constants ([−p⁻¹ mod 2^31], [R² mod p])
-    and a scratch buffer, so the per-multiplication cost is two tight
-    int-array loops and one allocation for the result.
+    An {!el} is a flat little-endian array of exactly 8 31-bit limbs
+    (248 bits) holding [a·R mod p] with [R = 2^248]; 31-bit limbs keep
+    every CIOS partial product inside OCaml's 63-bit native [int]. A
+    {!ctx} carries the modulus and the precomputed constants
+    ([−p⁻¹ mod 2^31], [R² mod p]). With the width fixed, [mul] is the CIOS
+    algorithm written out as eight straight-line rows over an accumulator
+    held in local variables, and [add], [sub] and the final subtraction
+    are written out limb by limb too: no loops, no scratch buffer, one
+    allocation for the result.
 
     Values stay in Montgomery form across whole computations (Miller
     loops, scalar ladders, final exponentiations); only
@@ -17,25 +20,23 @@
     Every [mul]/[sqr] bumps the ["pairing.mont_mul"] telemetry counter on
     the default registry, which is how `bench smoke` proves the fast path
     is actually selected. Not constant-time (see {!Alpenhorn_crypto}).
-    A shared [ctx] is safe to use from several domains at once: the CIOS
-    scratch buffer is domain-local ([Domain.DLS]), so the parallel batch
-    paths ({!Alpenhorn_parallel.Parallel}) can hammer one context without
-    corrupting each other's accumulators. *)
+    A [ctx] is immutable, so several domains can share one. *)
 
 module Bigint = Alpenhorn_bigint.Bigint
 
 type el = int array
-(** One field element in Montgomery form, [n] limbs. Treat as opaque;
+(** One field element in Montgomery form, 8 limbs. Treat as opaque;
     aliasing is safe because no exported operation mutates its inputs. *)
 
 type ctx
 
 val create : Bigint.t -> ctx
-(** Precompute a context for an odd modulus.
-    @raise Invalid_argument if the modulus is even or not positive. *)
+(** Precompute a context for an odd modulus of at most 248 bits.
+    @raise Invalid_argument if the modulus is even, not positive or
+    wider than 248 bits. *)
 
 val limbs : ctx -> int
-(** [n], the number of limbs in every element of this context. *)
+(** The number of limbs in every element: 8. *)
 
 val zero : ctx -> el
 val one : ctx -> el
@@ -61,7 +62,7 @@ val sqr : ctx -> el -> el
 (** {2 Elements stored in a flat table}
 
     A table of many elements (the prepared Miller lines of {!Pairing}) is
-    one [int array] holding element [k] at limbs [[k·n, (k+1)·n)]. These
+    one [int array] holding element [k] at limbs [[8k, 8k+8)]. These
     read one operand from such a table at a limb offset, so evaluating a
     stored element costs no copy. @raise Invalid_argument if the slice
     runs past the table. *)
@@ -80,7 +81,8 @@ val store : ctx -> el -> int array -> int -> unit
 
 val mul_small : ctx -> el -> int -> el
 (** Multiply by a small non-negative plain integer (the 2/3/8 of the
-    curve formulas). @raise Invalid_argument outside [[0, 2^31)]. *)
+    curve formulas) by double-and-add; counts no [mont_mul].
+    @raise Invalid_argument outside [[0, 2^31)]. *)
 
 val pow : ctx -> el -> Bigint.t -> el
 (** Exponent is a plain (non-Montgomery) non-negative Bigint. Fixed 4-bit

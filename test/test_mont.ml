@@ -1,7 +1,7 @@
 (* Cross-validation of the fixed-limb Montgomery kernel against the
    generic Bigint + Barrett reference: every kernel operation, on both
-   parameter-set moduli, over randomized inputs plus the edge vectors
-   0, 1, p−1. The windowed scalar multiplication and fixed-base tables in
+   parameter-set moduli and on a prime just under the kernel's 2^248
+   bound, over randomized inputs plus the edge vectors 0, 1, p−1. The windowed scalar multiplication and fixed-base tables in
    Curve are validated against the affine ladder the same way. *)
 
 module B = Alpenhorn_bigint.Bigint
@@ -17,6 +17,13 @@ let fp () = (Lazy.force params).Params.fp
 (* a second, unrelated modulus (the production prime) so limb-count-specific
    bugs can't hide behind the test curve's 72-bit p *)
 let production_fp = lazy (Params.production ()).Params.fp
+
+(* 2^248 − 485, the largest prime ≡ 11 (mod 12) below the kernel's
+   width: the production p has 237 bits, so its sums and CIOS rows never
+   carry into the top limb and the final subtraction rarely runs. Here
+   p − 1 + p − 1 overflows 2^248 and the top limbs of p are all ones, so
+   every branch of the carry and compare-and-subtract code is taken. *)
+let wide_fp = lazy (Field.create (B.sub (B.shift_left B.one 248) (B.of_int 485)))
 
 let check_b msg expected got = Alcotest.(check string) msg (B.to_string expected) (B.to_string got)
 
@@ -105,13 +112,24 @@ let kernel_tests =
   let t name check =
     Alcotest.test_case name `Quick (fun () ->
         cross (fp ()) ~seed:("mont-" ^ name) ~rounds:250 check;
-        cross (Lazy.force production_fp) ~seed:("mont-prod-" ^ name) ~rounds:60 check)
+        cross (Lazy.force production_fp) ~seed:("mont-prod-" ^ name) ~rounds:60 check;
+        cross (Lazy.force wide_fp) ~seed:("mont-wide-" ^ name) ~rounds:60 check)
   in
   [
     t "roundtrip" roundtrip;
     t "ring ops" ring_ops;
     t "inv and pow" inv_pow;
     t "fp2 ops" f2_ops;
+    Alcotest.test_case "create refuses moduli the kernel cannot hold" `Quick (fun () ->
+        let refuses msg p =
+          Alcotest.(check bool) msg true
+            (match Mont.create p with _ -> false | exception Invalid_argument _ -> true)
+        in
+        refuses "249 bits" (B.add (B.shift_left B.one 248) (B.of_int 1));
+        refuses "even" (B.sub (B.shift_left B.one 200) B.two);
+        refuses "zero" B.zero;
+        let widest = Mont.create (Field.modulus (Lazy.force wide_fp)) in
+        Alcotest.(check int) "248 bits fit, in 8 limbs" 8 (Mont.limbs widest));
   ]
 
 (* ---- windowed and fixed-base scalar multiplication ---- *)
