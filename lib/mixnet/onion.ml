@@ -19,9 +19,7 @@ let unwrap (params : Params.t) ~sk msg =
   let pklen = Dh.public_size params in
   if String.length msg < pklen + Aead.overhead then None
   else begin
-    match Dh.public_of_bytes params (String.sub msg 0 pklen) with
+    match Dh.shared_secret_of_bytes params sk (String.sub msg 0 pklen) with
     | None -> None
-    | Some epk ->
-      let key = Dh.shared_secret params sk epk in
-      Aead.open_ ~key ~nonce:zero_nonce (String.sub msg pklen (String.length msg - pklen))
+    | Some key -> Aead.open_ ~key ~nonce:zero_nonce (String.sub msg pklen (String.length msg - pklen))
   end

@@ -17,5 +17,6 @@ val wrap : Params.t -> Drbg.t -> server_pks:Alpenhorn_dh.Dh.public list -> strin
 (** Wrap for the given chain, first server's layer outermost. *)
 
 val unwrap : Params.t -> sk:Alpenhorn_dh.Dh.secret -> string -> string option
-(** Strip one layer with the server's round secret. [None] if malformed or
-    not encrypted to this key. *)
+(** Strip one layer with the server's round secret. [None] if malformed,
+    not encrypted to this key, or carrying an ephemeral key whose order
+    divides the cofactor ({!Alpenhorn_dh.Dh.shared_secret_of_bytes}). *)

@@ -186,6 +186,23 @@ let mul f k p =
     let ctx = Field.mont_ctx f in
     Jm.to_affine ctx (mul_jm ctx k p)
 
+(* k·P = O, by plain double-and-add over Jacobian points: no table and no
+   inversion, so it is cheap for a short k such as the cofactor *)
+let is_torsion f k p =
+  if Bigint.sign k < 0 then invalid_arg "Curve.is_torsion: negative scalar";
+  match p with
+  | Inf -> true
+  | Affine _ when Bigint.is_zero k -> true
+  | Affine _ ->
+    let ctx = Field.mont_ctx f in
+    let base = Jm.of_affine ctx p in
+    let acc = ref base in
+    for i = Bigint.numbits k - 2 downto 0 do
+      acc := Jm.double ctx !acc;
+      if Bigint.testbit k i then acc := Jm.add ctx !acc base
+    done;
+    Jm.is_infinity !acc
+
 (* shared Jacobian→affine conversion: Montgomery's trick turns the n
    inversions (one Fermat exponentiation each) into one inversion plus
    3(n−1) multiplications *)

@@ -23,6 +23,10 @@ val mul : Field.t -> Bigint.t -> point -> point
     coordinates on the fixed-limb Montgomery kernel, one field inversion
     total (the hot path of IBE, BLS and DH). *)
 
+val is_torsion : Field.t -> Bigint.t -> point -> bool
+(** [is_torsion f k p] is [mul f k p = Inf], by plain double-and-add
+    with no table and no inversion: the cheap form for a short [k] such
+    as the cofactor. @raise Invalid_argument on a negative [k]. *)
 
 val msm : Field.t -> (Bigint.t * point) list -> point
 (** [msm f \[(k1,p1); …\]] is [Σ ki·pi], sharing one doubling chain and

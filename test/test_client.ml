@@ -246,6 +246,19 @@ let unit_tests =
         Bytes.set tweaked (1 + len) 'Z';
         Alcotest.(check bool) "nonzero padding rejected" true
           (Wire.decode_request pr (Bytes.to_string tweaked) = None));
+    Alcotest.test_case "decode_request rejects a small-order dialing key" `Quick (fun () ->
+        let pr = p () in
+        let rng = Drbg.create ~seed:"small-dh" in
+        let sk2, _ = Bls.keygen pr rng in
+        let _, req = sample_request "small-dh-req" in
+        let req = { req with Wire.pkg_sigs = Bls.sign pr sk2 "att" } in
+        Alcotest.(check bool) "honest key decodes" true
+          (Wire.decode_request pr (Wire.encode_request pr req) <> None);
+        (* (p − 1, 0), the point of order 2 *)
+        let f = pr.Params.fp in
+        let two = Curve.make f ~x:(B.sub (Alpenhorn_pairing.Field.modulus f) B.one) ~y:B.zero in
+        Alcotest.(check bool) "order-2 key rejected" true
+          (Wire.decode_request pr (Wire.encode_request pr { req with Wire.dialing_key = two }) = None));
     Alcotest.test_case "remove_friend erases all traces" `Quick (fun () ->
         let d = Deployment.create ~config:Config.test ~seed:"remove" in
         let c = Deployment.new_client d ~email:"me@x" ~callbacks:Client.null_callbacks in

@@ -90,6 +90,33 @@ let unit_tests =
             [| "garbage"; String.make 200 'x' |]
         in
         Alcotest.(check int) "all dropped" 0 (Array.length out));
+    Alcotest.test_case "server drops and counts an onion with a small-order key" `Quick (fun () ->
+        let pr = p () in
+        let rng = Drbg.create ~seed:"server-small" in
+        let s = Server.create pr ~rng:(Drbg.derive rng "s0") ~position:0 ~chain_length:1 in
+        let pk = Server.new_round s in
+        let honest = Onion.wrap pr rng ~server_pks:[ pk ] (Payload.encode ~mailbox:0 "real") in
+        (* the same layer with its ephemeral key swapped for (p − 1, 0), the
+           point of order 2 *)
+        let f = pr.Params.fp in
+        let two =
+          Alpenhorn_pairing.Curve.make f
+            ~x:(Alpenhorn_bigint.Bigint.sub (Alpenhorn_pairing.Field.modulus f)
+                  Alpenhorn_bigint.Bigint.one)
+            ~y:Alpenhorn_bigint.Bigint.zero
+        in
+        let n = Dh.public_size pr in
+        let hostile = Dh.public_bytes pr two ^ String.sub honest n (String.length honest - n) in
+        let dropped = Alpenhorn_telemetry.Telemetry.(Counter.v default ~labels:[ ("server", "0") ]
+            "mix.onions_dropped") in
+        let before = Alpenhorn_telemetry.Telemetry.Counter.value dropped in
+        let out, _ =
+          Server.process s ~downstream_pks:[] ~noise_mu:0.0 ~laplace_b:0.0 ~num_mailboxes:1
+            ~noise_body:(fun ~mailbox:_ -> "") [| honest; hostile |]
+        in
+        Alcotest.(check int) "only the honest onion passes" 1 (Array.length out);
+        Alcotest.(check int) "mix.onions_dropped" 1
+          (Alpenhorn_telemetry.Telemetry.Counter.value dropped - before));
     Alcotest.test_case "server refuses to process without a round key" `Quick (fun () ->
         let pr = p () in
         let rng = Drbg.create ~seed:"server3" in

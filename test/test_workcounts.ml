@@ -11,6 +11,7 @@ module Params = Alpenhorn_pairing.Params
 module Curve = Alpenhorn_pairing.Curve
 module Pairing = Alpenhorn_pairing.Pairing
 module Ibe = Alpenhorn_ibe.Ibe
+module Dh = Alpenhorn_dh.Dh
 module Wire = Alpenhorn_core.Wire
 
 let mont_muls f =
@@ -49,4 +50,13 @@ let suite =
             mont_muls (fun () -> Ibe.decrypt_prepared ~plausible prep ctxt)));
     pinned "Pairing.hash_to_group" 913 (fun pr ->
         mont_muls (fun () -> Pairing.hash_to_group pr "alice@example.org"));
+    pinned "Dh.public_of_bytes" 439 (fun pr ->
+        let _, pk = Dh.keygen pr (Drbg.create ~seed:"workcounts-dh") in
+        let s = Dh.public_bytes pr pk in
+        mont_muls (fun () -> Dh.public_of_bytes pr s));
+    pinned "Dh.shared_secret" 2_951 (fun pr ->
+        let rng = Drbg.create ~seed:"workcounts-dh" in
+        let sk, _ = Dh.keygen pr rng in
+        let _, pk = Dh.keygen pr rng in
+        mont_muls (fun () -> Dh.shared_secret pr sk pk));
   ]
