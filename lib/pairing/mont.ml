@@ -131,8 +131,7 @@ let mul_at ctx a off b =
   and b6 = Array.unsafe_get b 6 and b7 = Array.unsafe_get b 7 in
   let t0 = 0 and t1 = 0 and t2 = 0 and t3 = 0 and t4 = 0 and t5 = 0 and t6 = 0 and t7 = 0
   and t8 = 0 in
-  (* row 0 *)
-  let ai = Array.unsafe_get a (off + 0) in
+  let ai = Array.unsafe_get a off in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
   let s = t2 + (ai * b2) + (s lsr 31) in let t2 = s land mask in
@@ -152,7 +151,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 1 *)
   let ai = Array.unsafe_get a (off + 1) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
@@ -173,7 +171,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 2 *)
   let ai = Array.unsafe_get a (off + 2) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
@@ -194,7 +191,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 3 *)
   let ai = Array.unsafe_get a (off + 3) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
@@ -215,7 +211,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 4 *)
   let ai = Array.unsafe_get a (off + 4) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
@@ -236,7 +231,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 5 *)
   let ai = Array.unsafe_get a (off + 5) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
@@ -257,7 +251,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 6 *)
   let ai = Array.unsafe_get a (off + 6) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in
@@ -278,7 +271,6 @@ let mul_at ctx a off b =
   let s = t6 + (m * p6) + (s lsr 31) in let t5 = s land mask in
   let s = t7 + (m * p7) + (s lsr 31) in let t6 = s land mask in
   let s = t8 + (s lsr 31) in let t7 = s land mask and t8 = t9 + (s lsr 31) in
-  (* row 7 *)
   let ai = Array.unsafe_get a (off + 7) in
   let s = t0 + (ai * b0) in let t0 = s land mask in
   let s = t1 + (ai * b1) + (s lsr 31) in let t1 = s land mask in

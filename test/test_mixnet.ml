@@ -9,6 +9,10 @@ module Chain = Alpenhorn_mixnet.Chain
 module Mailbox = Alpenhorn_mixnet.Mailbox
 module Bloom = Alpenhorn_bloom.Bloom
 module Drbg = Alpenhorn_crypto.Drbg
+module B = Alpenhorn_bigint.Bigint
+module Curve = Alpenhorn_pairing.Curve
+module Field = Alpenhorn_pairing.Field
+module Tel = Alpenhorn_telemetry.Telemetry
 
 let params = lazy (Params.test ())
 let p () = Lazy.force params
@@ -99,24 +103,17 @@ let unit_tests =
         (* the same layer with its ephemeral key swapped for (p − 1, 0), the
            point of order 2 *)
         let f = pr.Params.fp in
-        let two =
-          Alpenhorn_pairing.Curve.make f
-            ~x:(Alpenhorn_bigint.Bigint.sub (Alpenhorn_pairing.Field.modulus f)
-                  Alpenhorn_bigint.Bigint.one)
-            ~y:Alpenhorn_bigint.Bigint.zero
-        in
+        let two = Curve.make f ~x:(B.sub (Field.modulus f) B.one) ~y:B.zero in
         let n = Dh.public_size pr in
         let hostile = Dh.public_bytes pr two ^ String.sub honest n (String.length honest - n) in
-        let dropped = Alpenhorn_telemetry.Telemetry.(Counter.v default ~labels:[ ("server", "0") ]
-            "mix.onions_dropped") in
-        let before = Alpenhorn_telemetry.Telemetry.Counter.value dropped in
+        let dropped = Tel.Counter.v Tel.default ~labels:[ ("server", "0") ] "mix.onions_dropped" in
+        let before = Tel.Counter.value dropped in
         let out, _ =
           Server.process s ~downstream_pks:[] ~noise_mu:0.0 ~laplace_b:0.0 ~num_mailboxes:1
             ~noise_body:(fun ~mailbox:_ -> "") [| honest; hostile |]
         in
         Alcotest.(check int) "only the honest onion passes" 1 (Array.length out);
-        Alcotest.(check int) "mix.onions_dropped" 1
-          (Alpenhorn_telemetry.Telemetry.Counter.value dropped - before));
+        Alcotest.(check int) "mix.onions_dropped" 1 (Tel.Counter.value dropped - before));
     Alcotest.test_case "server refuses to process without a round key" `Quick (fun () ->
         let pr = p () in
         let rng = Drbg.create ~seed:"server3" in

@@ -127,7 +127,6 @@ let kernel_tests =
         in
         refuses "249 bits" (B.add (B.shift_left B.one 248) (B.of_int 1));
         refuses "even" (B.sub (B.shift_left B.one 200) B.two);
-        refuses "zero" B.zero;
         let widest = Mont.create (Field.modulus (Lazy.force wide_fp)) in
         Alcotest.(check int) "248 bits fit, in 8 limbs" 8 (Mont.limbs widest));
   ]

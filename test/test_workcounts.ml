@@ -1,8 +1,8 @@
 (* Pinned per-operation work: how many Montgomery multiplications
    ("pairing.mont_mul") each pairing-stack operation costs on the
    production curve, on fixed inputs. A change to the field kernel must
-   leave every count as it is; a change to an algorithm above it moves a
-   number here, where a reviewer sees it. *)
+   leave every count as it is; a change to an algorithm above it has to
+   update a number here, in plain sight. *)
 
 module B = Alpenhorn_bigint.Bigint
 module Tel = Alpenhorn_telemetry.Telemetry
